@@ -9,7 +9,6 @@ from .cleanup import (
     bucket_estimate,
     collect_cleanup_samples,
     constant_cleanup,
-    predict_cleanup,
     train_cleanup_model,
 )
 from .features import FEATURE_COLUMNS, FeatureVector, RollingWindows
@@ -19,7 +18,6 @@ from .fill_model import (
     build_training_matrix,
     censoring_survival,
     ipcw_weights,
-    predict_fill,
     stratified_censoring_survival,
     train_fill_model,
     train_fill_model_per_regime,

@@ -145,6 +145,18 @@ def _metrics(pred: np.ndarray, truth: np.ndarray, positive: int) -> ActionMetric
     return ActionMetrics(precision, recall, f, tp, fp, fn)
 
 
+def check_disjoint(trained_span: tuple[int, int] | None, records: Sequence[OrderLifecycle]) -> None:
+    """Raise ``PeriodOverlap`` when a training span intersects the records' insertion times."""
+    if trained_span is not None and records:
+        t_lo = min(r.insert_ts for r in records)
+        t_hi = max(r.insert_ts for r in records)
+        lo, hi = trained_span
+        if t_lo <= hi and lo <= t_hi:
+            raise PeriodOverlap(
+                f"training span [{lo}, {hi}] intersects scored records [{t_lo}, {t_hi}]"
+            )
+
+
 def run_backtest(
     records: Sequence[OrderLifecycle],
     specs: Sequence[ModelSpec],
@@ -158,14 +170,7 @@ def run_backtest(
     The snapshot behind each decision is rebuilt from the record's own
     insertion state; a training span overlapping the scored records raises.
     """
-    if models.trained_span is not None and records:
-        t_lo = min(r.insert_ts for r in records)
-        t_hi = max(r.insert_ts for r in records)
-        lo, hi = models.trained_span
-        if t_lo <= hi and lo <= t_hi:
-            raise PeriodOverlap(
-                f"training span [{lo}, {hi}] intersects scored records [{t_lo}, {t_hi}]"
-            )
+    check_disjoint(models.trained_span, records)
     labels: list[int] = []
     used: list[OrderLifecycle] = []
     ties = 0

@@ -7,15 +7,14 @@ qualify; everything else is excluded and counted by reason.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .features import FEATURE_COLUMNS, FeatureVector
-from .mlp import MLP, TrainConfig, TrainingReport, train_mlp
+from .fill_model import HIDDEN_LAYERS, NetModel
+from .mlp import MLP, TrainConfig, train_mlp
 from .replay import OrderLifecycle
 
 
@@ -109,44 +108,14 @@ def bucket_estimate(
 # Regression model
 # ---------------------------------------------------------------------------
 
-HIDDEN_LAYERS = (32, 32, 32)
-
 
 @dataclass
-class CleanupModel:
-    mlp: MLP
-    columns: tuple[str, ...] = FEATURE_COLUMNS
-    horizon: float = 1.0
+class CleanupModel(NetModel):
+    kind = "cleanup"
     winsor_bounds: tuple[float, float] | None = None
-    trained_span: tuple[int, int] | None = None
-    report: TrainingReport | None = None
 
-    def predict(self, z: FeatureVector | np.ndarray) -> float | np.ndarray:
-        row = z.to_row() if isinstance(z, FeatureVector) else np.asarray(z, dtype=float)
-        out = self.mlp.predict(row)
-        return float(out[0]) if row.ndim == 1 else out
-
-    def save(self, path: str | Path) -> None:
-        blob = {
-            "kind": "cleanup",
-            "columns": list(self.columns),
-            "horizon": self.horizon,
-            "winsor_bounds": list(self.winsor_bounds) if self.winsor_bounds else None,
-            "trained_span": list(self.trained_span) if self.trained_span else None,
-            "mlp": self.mlp.to_dict(),
-        }
-        Path(path).write_text(json.dumps(blob, sort_keys=True))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "CleanupModel":
-        blob = json.loads(Path(path).read_text())
-        return cls(
-            mlp=MLP.from_dict(blob["mlp"]),
-            columns=tuple(blob["columns"]),
-            horizon=blob["horizon"],
-            winsor_bounds=tuple(blob["winsor_bounds"]) if blob.get("winsor_bounds") else None,
-            trained_span=tuple(blob["trained_span"]) if blob.get("trained_span") else None,
-        )
+    def envelope(self) -> dict:
+        return {**super().envelope(), "winsor_bounds": list(self.winsor_bounds) if self.winsor_bounds else None}
 
 
 def winsorize(targets: np.ndarray, quantiles: tuple[float, float] = (0.001, 0.999)) -> tuple[np.ndarray, tuple[float, float]]:
@@ -179,10 +148,6 @@ def train_cleanup_model(
         trained_span=trained_span,
         report=report,
     )
-
-
-def predict_cleanup(model: CleanupModel, z: FeatureVector | np.ndarray) -> float | np.ndarray:
-    return model.predict(z)
 
 
 def samples_to_matrix(samples: Sequence[CleanupSample]) -> tuple[np.ndarray, np.ndarray]:

@@ -25,13 +25,15 @@ from .backtest import (
     MODEL_III,
     EligibilityConfig,
     RouterModels,
+    check_disjoint,
     run_backtest,
     select_eligible,
 )
-from .cleanup import CleanupModel, train_cleanup_model
+from .cleanup import CleanupModel, bucket_estimate, train_cleanup_model
 from .features import FEATURE_COLUMNS, FeatureVector
 from .fill_model import (
     FillModel,
+    RegimeFillModels,
     build_training_matrix,
     stratified_censoring_survival,
     train_fill_model,
@@ -41,6 +43,7 @@ from .messages import InstrumentConfig, read_messages, write_messages
 from .mlp import TrainConfig, permutation_importance
 from .placement import (
     FEE_TABLE,
+    ZERO_FEES,
     FeePolicy,
     MarketSnapshot,
     decision_map,
@@ -58,6 +61,7 @@ from .survival import (
     fill_probability_at,
     observations_from_records,
     post_and_wait_fill,
+    quantile_edges,
 )
 
 
@@ -153,8 +157,6 @@ def load_config(path: str | None, overrides: Sequence[str]) -> PipelineConfig:
 
 
 def _fees(cfg: PipelineConfig) -> FeePolicy:
-    from .placement import ZERO_FEES
-
     return ZERO_FEES if cfg.fee_level == 0 else FEE_TABLE[cfg.fee_level]
 
 
@@ -230,30 +232,12 @@ def cmd_replay(args, cfg: PipelineConfig) -> int:
     result = track_lifecycles(read_messages(args.messages), cfg.instrument())
     lio.write_lifecycles(args.out, result.records, cfg.horizon)
     if args.fill_ratio_out:
-        icdf = fill_ratio_icdf(result.records, cfg.horizon)
-        xs, vals = icdf.support()
-        import csv as _csv
-
-        with Path(args.fill_ratio_out).open("w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(("ratio", "prob_exceed"))
-            for x, v in zip(xs, vals):
-                writer.writerow([repr(float(x)), repr(float(v))])
+        xs, vals = fill_ratio_icdf(result.records, cfg.horizon).support()
+        lio.write_table(args.fill_ratio_out, ("ratio", "prob_exceed"), zip(xs, vals))
     d = result.diagnostics
     _write_json(
         args.diagnostics_out,
-        {
-            "messages": d.messages,
-            "records": len(result.records),
-            "gaps": d.gaps,
-            "crossed_rejected": d.crossed_rejected,
-            "unknown_rejected": d.unknown_rejected,
-            "invalid_rejected": d.invalid_rejected,
-            "marketable_excluded": d.marketable_excluded,
-            "depth_excluded": d.depth_excluded,
-            "average_trade_size": d.average_trade_size,
-            "trade_count": d.trade_count,
-        },
+        {**dataclasses.asdict(d), "records": len(result.records), "average_trade_size": d.average_trade_size},
     )
     return 0
 
@@ -306,10 +290,7 @@ def cmd_survival(args, cfg: PipelineConfig) -> int:
         if i < len(edges_list):
             edges = [float(x) for x in edges_list[i].split(",")]
         else:
-            values = [getattr(r.features, name) for r in records]
-            qs = np.quantile(values, np.linspace(0, 1, 6))
-            edges = sorted(set(float(q) for q in qs))
-            edges[-1] += 1e-9
+            edges = quantile_edges([getattr(r.features, name) for r in records], 5)
         by.append((name, edges))
     curves, report = conditional_curves(records, by, min_count=cfg.min_bucket_count)
     lio.write_cif_curves(args.out, curves, [name for name, _ in by])
@@ -326,21 +307,13 @@ def cmd_survival(args, cfg: PipelineConfig) -> int:
 def cmd_train_fill(args, cfg: PipelineConfig) -> int:
     X, y, w, meta = lio.read_matrix(_require(args.matrix, "feature matrix"))
     span = (min(m["insert_ts"] for m in meta), max(m["insert_ts"] for m in meta)) if meta else None
+    train = train_fill_model_per_regime if args.per_regime else train_fill_model
+    model = train(X, y, w, cfg.train_config(args.seed), horizon=cfg.horizon, trained_span=span)
+    model.save(args.out)
     if args.per_regime:
-        regime_models = train_fill_model_per_regime(X, y, w, cfg.train_config(args.seed), horizon=cfg.horizon)
-        regime_models.save(args.out)
         _write_json(args.report, {"per_regime": True})
         return 0
-    model = train_fill_model(
-        X, y, w, cfg.train_config(args.seed), horizon=cfg.horizon, trained_span=span
-    )
-    model.save(args.out)
-    report: dict = {
-        "train_loss": model.report.train_loss,
-        "val_loss": model.report.val_loss,
-        "best_epoch": model.report.best_epoch,
-        "stopped_early": model.report.stopped_early,
-    }
+    report = dataclasses.asdict(model.report)
     if args.importance:
         n_val = max(1, int(round(len(X) * cfg.val_fraction)))
         scores = permutation_importance(
@@ -368,41 +341,25 @@ def cmd_train_cleanup(args, cfg: PipelineConfig) -> int:
     )
     model.save(args.out)
     if args.bucket_curve_out:
-        from .cleanup import bucket_estimate
-
-        feature_idx = FEATURE_COLUMNS.index(args.bucket_feature)
-        values = Xc[:, feature_idx]
-        qs = np.quantile(values, np.linspace(0, 1, 7))
-        edges = sorted(set(float(q) for q in qs))
-        edges[-1] += 1e-9
+        values = Xc[:, FEATURE_COLUMNS.index(args.bucket_feature)]
+        edges = quantile_edges(values, 6)
         curve = bucket_estimate(values, targets, edges, min_count=max(10, cfg.min_bucket_count // 10))
-        import csv as _csv
-
-        with Path(args.bucket_curve_out).open("w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow((args.bucket_feature + "_lo", args.bucket_feature + "_hi", "mid", "mean_ticks", "std_error", "count"))
-            for b in range(len(curve.means)):
-                if np.isnan(curve.means[b]):
-                    continue
-                writer.writerow(
-                    [
-                        repr(float(curve.edges[b])),
-                        repr(float(curve.edges[b + 1])),
-                        repr(float(curve.mids[b])),
-                        repr(float(curve.means[b])),
-                        repr(float(curve.std_errors[b])),
-                        int(curve.counts[b]),
-                    ]
-                )
+        lio.write_table(
+            args.bucket_curve_out,
+            (args.bucket_feature + "_lo", args.bucket_feature + "_hi", "mid", "mean_ticks", "std_error", "count"),
+            (
+                (curve.edges[b], curve.edges[b + 1], curve.mids[b], curve.means[b], curve.std_errors[b], int(curve.counts[b]))
+                for b in range(len(curve.means))
+                if not np.isnan(curve.means[b])
+            ),
+        )
     _write_json(
         args.report,
         {
             "rows": len(rows),
             "constant_baseline": float(np.mean(targets)),
             "winsor_bounds": list(model.winsor_bounds) if model.winsor_bounds else None,
-            "train_loss": model.report.train_loss,
-            "val_loss": model.report.val_loss,
-            "best_epoch": model.report.best_epoch,
+            **dataclasses.asdict(model.report),
         },
     )
     return 0
@@ -420,10 +377,26 @@ def _snapshot_from_json(path: str) -> MarketSnapshot:
     )
 
 
+def _load_models(args) -> tuple:
+    """The ``--fill-model`` and ``--cleanup-model`` files, each checked
+    against the kinds its option takes and against the feature columns."""
+    models = []
+    for slot, kinds in (("fill", (FillModel.kind, RegimeFillModels.kind)), ("cleanup", (CleanupModel.kind,))):
+        path = getattr(args, f"{slot}_model")
+        model = lio.load_model(_require(path, f"{slot} model"))
+        if model.kind not in kinds:
+            raise lio.ArtifactInvalid(
+                f"{path}: field 'kind' is {model.kind!r}, but --{slot}-model takes {' or '.join(kinds)}"
+            )
+        if model.columns != FEATURE_COLUMNS:
+            raise lio.ArtifactInvalid(f"{path}: field 'columns' is {list(model.columns)}, not {list(FEATURE_COLUMNS)}")
+        models.append(model)
+    return tuple(models)
+
+
 def cmd_route(args, cfg: PipelineConfig) -> int:
     snapshot = _snapshot_from_json(args.snapshot)
-    fill = FillModel.load(_require(args.fill_model, "fill model"))
-    cleanup = CleanupModel.load(_require(args.cleanup_model, "clean-up model"))
+    fill, cleanup = _load_models(args)
     if args.delta_min is not None and args.delta_max is not None:
         delta_range = (args.delta_min, args.delta_max)
     else:
@@ -436,74 +409,32 @@ def cmd_route(args, cfg: PipelineConfig) -> int:
             delta_max = int(cfg.depth_value)
         delta_range = (-snapshot.spread_ticks + 1, max(1, delta_max))
     decision = optimal_distance(snapshot, args.quantity, _fees(cfg), fill, cleanup, delta_range)
-    _write_json(
-        args.out,
-        {
-            "action": decision.action,
-            "distance": decision.distance,
-            "saved_cost": decision.saved_cost,
-            "break_even_fill": decision.break_even_fill,
-        },
-    )
+    _write_json(args.out, {k: v for k, v in dataclasses.asdict(decision).items() if k != "curve"})
     if args.curve_out:
-        import csv as _csv
-
-        with Path(args.curve_out).open("w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(("delta", "fill_probability", "cleanup_ticks", "saved_cost"))
-            for row in decision.curve:
-                writer.writerow(
-                    [
-                        row["delta"],
-                        repr(row["fill_probability"]),
-                        repr(row["cleanup_ticks"]),
-                        repr(row["saved_cost"]),
-                    ]
-                )
+        header = ("delta", "fill_probability", "cleanup_ticks", "saved_cost")
+        lio.write_table(args.curve_out, header, ([row[k] for k in header] for row in decision.curve))
     if args.decision_map_out:
         cells = decision_map(snapshot, args.map_cleanup_ticks, np.linspace(0.0, 1.0, 101))
-        import csv as _csv
-
-        with Path(args.decision_map_out).open("w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(("level", "fill_probability", "saved_cost", "action", "break_even"))
-            for cell in cells:
-                writer.writerow(
-                    [
-                        cell["level"],
-                        repr(cell["fill_probability"]),
-                        repr(cell["saved_cost"]),
-                        cell["action"],
-                        repr(cell["break_even"]) if cell["break_even"] is not None else "",
-                    ]
-                )
+        header = ("level", "fill_probability", "saved_cost", "action", "break_even")
+        lio.write_table(args.decision_map_out, header, ([cell[k] for k in header] for cell in cells))
     if args.surface_out:
         spreads = range(args.surface_spread_min, args.surface_spread_max + 1)
         rows = distance_spread_surface(snapshot, args.quantity, _fees(cfg), fill, cleanup, spreads)
-        import csv as _csv
-
-        with Path(args.surface_out).open("w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(("spread", "delta", "saved_cost", "fill_probability", "cleanup_ticks", "is_optimum"))
-            for row in rows:
-                writer.writerow(
-                    [
-                        row["spread"],
-                        row["delta"],
-                        repr(row["saved_cost"]),
-                        repr(row["fill_probability"]),
-                        repr(row["cleanup_ticks"]),
-                        int(row["is_optimum"]),
-                    ]
-                )
+        lio.write_table(
+            args.surface_out,
+            ("spread", "delta", "saved_cost", "fill_probability", "cleanup_ticks", "is_optimum"),
+            (
+                (row["spread"], row["delta"], row["saved_cost"], row["fill_probability"], row["cleanup_ticks"], int(row["is_optimum"]))
+                for row in rows
+            ),
+        )
     return 0
 
 
 def cmd_backtest(args, cfg: PipelineConfig) -> int:
     records = _load_records(args, cfg)
     Xtr, ytr, wtr, meta_tr = lio.read_matrix(_require(args.train_matrix, "training matrix"))
-    fill = FillModel.load(_require(args.fill_model, "fill model"))
-    cleanup = CleanupModel.load(_require(args.cleanup_model, "clean-up model"))
+    fill, cleanup = _load_models(args)
 
     # model I components from the training matrix
     delta_idx = FEATURE_COLUMNS.index("delta")
@@ -540,6 +471,8 @@ def cmd_backtest(args, cfg: PipelineConfig) -> int:
         ats,
         EligibilityConfig(max_size_ats_multiple=cfg.max_size_ats_multiple, max_distance=cfg.max_distance),
     )
+    for model in (fill, cleanup):  # the model files' own spans, not only the training matrix's
+        check_disjoint(model.trained_span, eligible)
     report = run_backtest(
         eligible,
         [MODEL_I, MODEL_II, MODEL_III],
@@ -570,15 +503,11 @@ def cmd_backtest(args, cfg: PipelineConfig) -> int:
     }
     _write_json(args.out, payload)
     if args.decisions_out:
-        import csv as _csv
-
-        with Path(args.decisions_out).open("w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(("label", "decision_I", "decision_II", "decision_III"))
-            for i, label in enumerate(report.labels):
-                writer.writerow(
-                    [label, report.decisions["I"][i], report.decisions["II"][i], report.decisions["III"][i]]
-                )
+        lio.write_table(
+            args.decisions_out,
+            ("label", "decision_I", "decision_II", "decision_III"),
+            zip(report.labels, report.decisions["I"], report.decisions["II"], report.decisions["III"]),
+        )
     return 0
 
 

@@ -190,10 +190,6 @@ def aggressiveness_index(delta: float, spread: float) -> float:
     return delta / (1.0 - spread)
 
 
-def priority_volume(book_after: BookState, order_id: str) -> float:
-    return book_after.priority_volume(order_id)
-
-
 def realized_volatility(prices: Sequence[float]) -> float:
     """Root mean squared log-return of consecutive trade prices, per trade."""
     if len(prices) < 2:
@@ -281,7 +277,7 @@ def assemble_features(
         best_imbalance=best_imbalance_after(book_after),
         add_imbalance=limit_flow_imbalance(windows),
         aggressiveness=omega,
-        prior_volume=priority_volume(book_after, order_id),
+        prior_volume=book_after.priority_volume(order_id),
         size=float(size),
         signed_flow=signed_flow,
         flow_imbalance=flow_imb,

@@ -12,13 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .features import FEATURE_COLUMNS, FeatureVector
 from .mlp import MLP, SingleClass, TrainConfig, TrainingReport, train_mlp
-from .mlp import gradient_check, permutation_importance  # re-exported diagnostics
 from .replay import OrderLifecycle, Outcome
 from .survival import (
     CAUSE_CANCELLATION,
@@ -27,6 +26,7 @@ from .survival import (
     Observation,
     SurvivalCurve,
     kaplan_meier,
+    quantile_edges,
 )
 
 __all__ = [
@@ -36,11 +36,9 @@ __all__ = [
     "ipcw_weights",
     "IPCWResult",
     "build_training_matrix",
+    "NetModel",
     "FillModel",
     "train_fill_model",
-    "predict_fill",
-    "gradient_check",
-    "permutation_importance",
 ]
 
 
@@ -101,9 +99,7 @@ def stratified_censoring_survival(
     deltas = [r.features.delta for r in records if r.features.delta > 0]
     if delta_edges is None:
         if deltas:
-            qs = np.quantile(deltas, np.linspace(0, 1, 11))
-            delta_edges = sorted(set(float(q) for q in qs))
-            delta_edges[-1] += 1e-9
+            delta_edges = quantile_edges(deltas, 10)
             if len(delta_edges) < 2:
                 delta_edges = [0.0, float("inf")]
         else:
@@ -185,14 +181,32 @@ def build_training_matrix(
 
 
 # ---------------------------------------------------------------------------
-# Model wrapper
+# Model wrappers and their file envelope
 # ---------------------------------------------------------------------------
 
 HIDDEN_LAYERS = (32, 32, 32)
+REGIMES = ("passive", "at_best", "aggressive")
+
+
+def _header(kind: str, columns: Sequence[str], horizon: float, trained_span: tuple[int, int] | None) -> dict:
+    """Fields every model file carries; ``io.load_model`` reads them back."""
+    return {
+        "kind": kind,
+        "columns": list(columns),
+        "horizon": horizon,
+        "trained_span": list(trained_span) if trained_span else None,
+    }
+
+
+def _write(path: str | Path, blob: dict) -> None:
+    Path(path).write_text(json.dumps(blob, sort_keys=True))
 
 
 @dataclass
-class FillModel:
+class NetModel:
+    """One network over the feature columns, saved as a model-file envelope."""
+
+    kind: ClassVar[str]
     mlp: MLP
     columns: tuple[str, ...] = FEATURE_COLUMNS
     horizon: float = 1.0
@@ -204,25 +218,15 @@ class FillModel:
         out = self.mlp.predict(row)
         return float(out[0]) if row.ndim == 1 else out
 
-    def save(self, path: str | Path) -> None:
-        blob = {
-            "kind": "fill",
-            "columns": list(self.columns),
-            "horizon": self.horizon,
-            "trained_span": list(self.trained_span) if self.trained_span else None,
-            "mlp": self.mlp.to_dict(),
-        }
-        Path(path).write_text(json.dumps(blob, sort_keys=True))
+    def envelope(self) -> dict:
+        return {**_header(self.kind, self.columns, self.horizon, self.trained_span), "mlp": self.mlp.to_dict()}
 
-    @classmethod
-    def load(cls, path: str | Path) -> "FillModel":
-        blob = json.loads(Path(path).read_text())
-        return cls(
-            mlp=MLP.from_dict(blob["mlp"]),
-            columns=tuple(blob["columns"]),
-            horizon=blob["horizon"],
-            trained_span=tuple(blob["trained_span"]) if blob.get("trained_span") else None,
-        )
+    def save(self, path: str | Path) -> None:
+        _write(path, self.envelope())
+
+
+class FillModel(NetModel):
+    kind = "fill"
 
 
 def train_fill_model(
@@ -246,10 +250,6 @@ def train_fill_model(
     return FillModel(mlp=mlp, columns=tuple(columns), horizon=horizon, trained_span=trained_span, report=report)
 
 
-def predict_fill(model: FillModel, z: FeatureVector | np.ndarray) -> float | np.ndarray:
-    return model.predict(z)
-
-
 @dataclass
 class RegimeFillModels:
     """One classifier per placement regime, dispatched on the distance sign.
@@ -258,23 +258,16 @@ class RegimeFillModels:
     lacking both classes fall back to the pooled model.
     """
 
+    kind: ClassVar[str] = "fill-per-regime"
     passive: FillModel
     at_best: FillModel
     aggressive: FillModel
     columns: tuple[str, ...] = FEATURE_COLUMNS
     horizon: float = 1.0
-
-    def _pick(self, delta: float) -> FillModel:
-        if delta > 0:
-            return self.passive
-        if delta == 0:
-            return self.at_best
-        return self.aggressive
+    trained_span: tuple[int, int] | None = None
 
     def predict(self, z: FeatureVector | np.ndarray) -> float | np.ndarray:
-        if isinstance(z, FeatureVector):
-            return self._pick(z.delta).predict(z)
-        arr = np.asarray(z, dtype=float)
+        arr = z.to_row() if isinstance(z, FeatureVector) else np.asarray(z, dtype=float)
         single = arr.ndim == 1
         arr = np.atleast_2d(arr)
         delta = arr[:, self.columns.index("delta")]
@@ -289,26 +282,9 @@ class RegimeFillModels:
         return float(out[0]) if single else out
 
     def save(self, path: str | Path) -> None:
-        blob = {
-            "kind": "fill-per-regime",
-            "columns": list(self.columns),
-            "horizon": self.horizon,
-            "passive": self.passive.mlp.to_dict(),
-            "at_best": self.at_best.mlp.to_dict(),
-            "aggressive": self.aggressive.mlp.to_dict(),
-        }
-        Path(path).write_text(json.dumps(blob, sort_keys=True))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "RegimeFillModels":
-        blob = json.loads(Path(path).read_text())
-        columns = tuple(blob["columns"])
-        horizon = blob["horizon"]
-        parts = {
-            key: FillModel(mlp=MLP.from_dict(blob[key]), columns=columns, horizon=horizon)
-            for key in ("passive", "at_best", "aggressive")
-        }
-        return cls(columns=columns, horizon=horizon, **parts)
+        blob = _header(self.kind, self.columns, self.horizon, self.trained_span)
+        blob.update((name, getattr(self, name).mlp.to_dict()) for name in REGIMES)
+        _write(path, blob)
 
 
 def train_fill_model_per_regime(
@@ -318,20 +294,22 @@ def train_fill_model_per_regime(
     cfg: TrainConfig,
     columns: Sequence[str] = FEATURE_COLUMNS,
     horizon: float = 1.0,
+    trained_span: tuple[int, int] | None = None,
 ) -> RegimeFillModels:
     """Separate passive / at-best / aggressive classifiers."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
-    pooled = train_fill_model(X, y, w, cfg, columns=columns, horizon=horizon)
+    common = dict(columns=tuple(columns), horizon=horizon, trained_span=trained_span)
+    pooled = train_fill_model(X, y, w, cfg, **common)
     delta = X[:, list(columns).index("delta")]
     min_rows = max(64, cfg.batch // 4)
     parts: dict[str, FillModel] = {}
-    for name, selector in (("passive", delta > 0), ("at_best", delta == 0), ("aggressive", delta < 0)):
+    for name, selector in zip(REGIMES, (delta > 0, delta == 0, delta < 0)):
         rows = np.flatnonzero(selector)
         active = y[rows][w[rows] > 0]
         if rows.size < min_rows or active.size == 0 or active.min() == active.max():
             parts[name] = pooled  # too thin or single-class: share the pooled fit
             continue
-        parts[name] = train_fill_model(X[rows], y[rows], w[rows], cfg, columns=columns, horizon=horizon)
-    return RegimeFillModels(columns=tuple(columns), horizon=horizon, **parts)
+        parts[name] = train_fill_model(X[rows], y[rows], w[rows], cfg, **common)
+    return RegimeFillModels(**parts, **common)

@@ -1,4 +1,4 @@
-"""CSV artifacts exchanged between the pipeline stages.
+"""Artifacts exchanged between the pipeline stages: CSV tables and model files.
 
 Floats are written with ``repr`` so identical runs produce byte-identical
 files and values round-trip exactly.
@@ -7,32 +7,31 @@ files and values round-trip exactly.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import json
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from .cleanup import CleanupModel
 from .features import FEATURE_COLUMNS, FeatureVector
+from .fill_model import REGIMES, FillModel, RegimeFillModels
 from .messages import Side
+from .mlp import MLP
 from .replay import OrderLifecycle, Outcome
-from .survival import CIFCurve, SurvivalCurve
+from .survival import CAUSE_CANCELLATION, CAUSE_EXECUTION, CIFCurve, SurvivalCurve, gray_variance, log_log_ci
 
-_FEATURE_FIELDS = (
-    "delta",
-    "spread",
-    "spread_after",
-    "best_imbalance",
-    "add_imbalance",
-    "aggressiveness",
-    "prior_volume",
-    "signed_flow",
-    "flow_imbalance",
-    "signed_traded",
-    "traded_imbalance",
-    "time_since_trade",
-    "median_trade_duration",
-    "volatility",
-)
+
+class ArtifactInvalid(ValueError):
+    """A model file that is not a JSON envelope, has an unknown kind or lacks a field."""
+
+
+#: Lifecycle columns that fill a ``FeatureVector``, in field order; the
+#: vector's ``size`` is the record's own column, ``partial_window`` is parsed apart.
+_VECTOR_COLUMNS = tuple(f.name for f in dataclasses.fields(FeatureVector) if f.name != "partial_window")
+#: Feature fields written to columns of their own.
+_FEATURE_FIELDS = tuple(name for name in _VECTOR_COLUMNS if name != "size")
 
 LIFECYCLE_FIELDS = (
     "order_id",
@@ -50,12 +49,21 @@ LIFECYCLE_FIELDS = (
 ) + _FEATURE_FIELDS
 
 
-def _fmt(x) -> str:
+def _cell(x) -> str:
+    """``None`` as an empty cell, floats (numpy's too) as ``repr`` of the Python float."""
     if x is None:
         return ""
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))
     return str(x)
+
+
+def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The CSV writer behind every tabular artifact."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_cell(x) for x in row] for row in rows)
 
 
 def write_lifecycles(path: str | Path, records: Sequence[OrderLifecycle], horizon: float) -> None:
@@ -75,11 +83,11 @@ def write_lifecycles(path: str | Path, records: Sequence[OrderLifecycle], horizo
                     repr(float(r.outcome_time)),
                     repr(float(r.fill_ratio)),
                     repr(float(r.fill_ratio_within(horizon))),
-                    _fmt(r.dp_ask_horizon),
+                    _cell(r.dp_ask_horizon),
                     int(f.partial_window),
                     r.insert_best_ask,
                 ]
-                + [_fmt(getattr(f, name)) for name in _FEATURE_FIELDS]
+                + [_cell(getattr(f, name)) for name in _FEATURE_FIELDS]
             )
 
 
@@ -87,22 +95,8 @@ def read_lifecycles(path: str | Path) -> list[OrderLifecycle]:
     records: list[OrderLifecycle] = []
     with Path(path).open(newline="") as fh:
         for rec in csv.DictReader(fh):
-            features = FeatureVector(
-                delta=float(rec["delta"]),
-                spread=float(rec["spread"]),
-                spread_after=float(rec["spread_after"]),
-                best_imbalance=float(rec["best_imbalance"]),
-                add_imbalance=float(rec["add_imbalance"]),
-                aggressiveness=float(rec["aggressiveness"]) if rec["aggressiveness"] else None,
-                prior_volume=float(rec["prior_volume"]),
-                size=float(rec["size"]),
-                signed_flow=float(rec["signed_flow"]),
-                flow_imbalance=float(rec["flow_imbalance"]),
-                signed_traded=float(rec["signed_traded"]),
-                traded_imbalance=float(rec["traded_imbalance"]),
-                time_since_trade=float(rec["time_since_trade"]),
-                median_trade_duration=float(rec["median_trade_duration"]),
-                volatility=float(rec["volatility"]),
+            features = FeatureVector(  # only aggressiveness may be empty
+                *[float(rec[n]) if n != "aggressiveness" or rec[n] else None for n in _VECTOR_COLUMNS],
                 partial_window=bool(int(rec["partial_window"])),
             )
             records.append(
@@ -154,7 +148,7 @@ def write_matrix(
                 repr(float(r.outcome_time)),
                 repr(float(y)),
                 repr(float(w)),
-                _fmt(r.dp_ask_horizon),
+                _cell(r.dp_ask_horizon),
                 int(r.features.partial_window),
             ]
             row.extend(repr(float(v)) for v in r.features.to_row())
@@ -187,44 +181,71 @@ def read_matrix(path: str | Path):
 
 
 def write_survival_curve(path: str | Path, curve: SurvivalCurve) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("time", "survival", "at_risk", "deaths", "censored"))
-        for i in range(len(curve.times)):
-            writer.writerow(
-                [
-                    repr(float(curve.times[i])),
-                    repr(float(curve.values[i])),
-                    repr(float(curve.at_risk[i])),
-                    repr(float(curve.deaths[i])),
-                    repr(float(curve.censored[i])),
-                ]
-            )
+    write_table(
+        path,
+        ("time", "survival", "at_risk", "deaths", "censored"),
+        zip(curve.times, curve.values, curve.at_risk, curve.deaths, curve.censored),
+    )
 
 
 def write_cif_curves(path: str | Path, curves: dict[tuple, CIFCurve], by_names: Sequence[str], alpha: float = 0.05) -> None:
     """Long-format export of bucketed incidence curves with CI bands."""
-    from .survival import CAUSE_CANCELLATION, CAUSE_EXECUTION, gray_variance, log_log_ci
 
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        bucket_cols = [f"bucket_{name}" for name in by_names]
-        writer.writerow(bucket_cols + ["cause", "time", "incidence", "variance", "ci_lo", "ci_hi"])
+    def rows():
         for key in sorted(curves):
             curve = curves[key]
             for cause, name in ((CAUSE_EXECUTION, "execution"), (CAUSE_CANCELLATION, "cancellation")):
                 var = gray_variance(curve, cause)
-                for i in range(len(curve.times)):
-                    f = float(curve.cif[cause][i])
-                    lo, hi = log_log_ci(f, float(var[i]), alpha)
-                    writer.writerow(
-                        list(key)
-                        + [
-                            name,
-                            repr(float(curve.times[i])),
-                            repr(f),
-                            repr(float(var[i])),
-                            repr(lo),
-                            repr(hi),
-                        ]
-                    )
+                for t, f, v in zip(curve.times, curve.cif[cause], var):
+                    yield [*key, name, t, f, v, *log_log_ci(float(f), float(v), alpha)]
+
+    bucket_cols = [f"bucket_{name}" for name in by_names]
+    write_table(path, bucket_cols + ["cause", "time", "incidence", "variance", "ci_lo", "ci_hi"], rows())
+
+
+# ---------------------------------------------------------------------------
+# Model files
+# ---------------------------------------------------------------------------
+
+
+def load_model(path: str | Path) -> FillModel | RegimeFillModels | CleanupModel:
+    """Read a model file written by ``save``, dispatching on its ``kind``.
+
+    Every model file is one JSON envelope: ``kind``, ``columns``, ``horizon``
+    and ``trained_span``, then the network under ``mlp`` (kinds ``fill`` and
+    ``cleanup``, the latter with ``winsor_bounds``) or one network per regime
+    under ``passive``, ``at_best`` and ``aggressive`` (kind ``fill-per-regime``).
+    """
+    path = Path(path)
+    try:
+        blob = json.loads(path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ArtifactInvalid(f"{path}: not a JSON model file ({exc})") from exc
+    if not isinstance(blob, dict):
+        raise ArtifactInvalid(f"{path}: not a JSON model file (top level is not an object)")
+
+    def field(name: str):
+        if name not in blob:
+            raise ArtifactInvalid(f"{path}: required field {name!r} is missing")
+        return blob[name]
+
+    def net(name: str) -> MLP:
+        value = field(name)
+        try:
+            return MLP.from_dict(value)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ArtifactInvalid(f"{path}: field {name!r} is not a network ({exc!r})") from exc
+
+    kind = field("kind")
+    span = field("trained_span")
+    common = dict(columns=tuple(field("columns")), horizon=field("horizon"), trained_span=tuple(span) if span else None)
+    if kind == FillModel.kind:
+        return FillModel(mlp=net("mlp"), **common)
+    if kind == CleanupModel.kind:
+        bounds = field("winsor_bounds")
+        return CleanupModel(mlp=net("mlp"), winsor_bounds=tuple(bounds) if bounds else None, **common)
+    if kind == RegimeFillModels.kind:
+        parts = {name: FillModel(mlp=net(name), **common) for name in REGIMES}
+        return RegimeFillModels(**parts, **common)
+    kinds = (FillModel.kind, RegimeFillModels.kind, CleanupModel.kind)
+    raise ArtifactInvalid(f"{path}: field 'kind' is {kind!r}, not one of {', '.join(kinds)}")

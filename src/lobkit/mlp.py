@@ -9,9 +9,7 @@ is fitted once and frozen with the parameters.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -155,13 +153,6 @@ class MLP:
         model.biases = [np.asarray(b, dtype=float) for b in blob["biases"]]
         model.set_standardization(np.asarray(blob["mean"]), np.asarray(blob["std"]))
         return model
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "MLP":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 # ---------------------------------------------------------------------------

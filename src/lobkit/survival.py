@@ -317,6 +317,15 @@ def observations_from_records(records: Iterable) -> list[Observation]:
     return [Observation(time=r.outcome_time, cause=int(r.outcome)) for r in records]
 
 
+def quantile_edges(values: Sequence[float], n_buckets: int) -> list[float]:
+    """Distinct quantile cut points for up to ``n_buckets`` buckets; the top
+    edge is nudged up so the largest value falls inside the last bucket."""
+    qs = np.quantile(values, np.linspace(0, 1, n_buckets + 1))
+    edges = sorted(set(float(q) for q in qs))
+    edges[-1] += 1e-9
+    return edges
+
+
 def conditional_curves(
     records: Sequence,
     by: Sequence[tuple[str, Sequence[float]]],

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from lobkit.cleanup import (
+    CleanupModel,
     bucket_estimate,
     collect_cleanup_samples,
     constant_cleanup,
-    predict_cleanup,
     train_cleanup_model,
     winsorize,
 )
 from lobkit.features import FeatureVector
+from lobkit.io import load_model
 from lobkit.messages import Side
 from lobkit.mlp import MLP, TrainConfig, gradient_check
 from lobkit.replay import OrderLifecycle, Outcome
@@ -205,9 +206,8 @@ def test_cleanup_save_load_round_trip(tmp_path):
     )
     path = tmp_path / "cleanup.json"
     model.save(path)
-    from lobkit.cleanup import CleanupModel
-
-    clone = CleanupModel.load(path)
+    clone = load_model(path)
+    assert isinstance(clone, CleanupModel)
     np.testing.assert_array_equal(model.mlp.predict(X), clone.mlp.predict(X))
     assert clone.winsor_bounds == model.winsor_bounds
 
@@ -218,6 +218,6 @@ def test_predict_cleanup_deterministic_and_finite():
     t = X[:, 1] * 3
     model = train_cleanup_model(X, t, TrainConfig(lr=0.02, batch=32, epochs=20, seed=12), columns=("a", "b", "c", "d"))
     row = X[0]
-    a = predict_cleanup(model, row)
-    b = predict_cleanup(model, row)
+    a = model.predict(row)
+    b = model.predict(row)
     assert a == b and np.isfinite(a)

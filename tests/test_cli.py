@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from lobkit.cli import load_config, main, ConfigInvalid
 from lobkit.features import FeatureVector
 from lobkit.messages import read_messages, write_messages
+from lobkit.replay import ReplayDiagnostics
 from lobkit.synth import GroundTruthConfig, generate_flow
 
 
@@ -63,9 +65,21 @@ def _run(args):
     assert rc == 0, f"command failed: {args}"
 
 
-def test_full_pipeline_through_cli(tmp_path):
-    d = tmp_path
-    base = ["--set", "trade_window=20", "--set", "min_bucket_count=10"]
+def _fails(args, capsys) -> dict:
+    """Runs a command that must fail; returns its JSON error."""
+    capsys.readouterr()
+    assert main(args) == 1, f"command succeeded: {args}"
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+BASE = ["--set", "trade_window=20", "--set", "min_bucket_count=10"]
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """Every subcommand once, over two disjoint synthetic periods; returns the artifact directory."""
+    d = tmp_path_factory.mktemp("pipeline")
+    base = BASE
     _run(base + [
         "synth", "--preset", "monotone-delta", "--seed", "5", "--duration", "120",
         "--out", str(d / "messages.csv"), "--truth", str(d / "truth.csv"),
@@ -74,8 +88,6 @@ def test_full_pipeline_through_cli(tmp_path):
         "replay", "--messages", str(d / "messages.csv"), "--out", str(d / "lifecycles.csv"),
         "--fill-ratio-out", str(d / "icdf.csv"), "--diagnostics-out", str(d / "diag.json"),
     ])
-    diag = json.loads((d / "diag.json").read_text())
-    assert diag["crossed_rejected"] == 0 and diag["unknown_rejected"] == 0
     _run(base + [
         "features", "--lifecycles", str(d / "lifecycles.csv"), "--truth", str(d / "truth.csv"),
         "--out", str(d / "matrix.csv"),
@@ -84,8 +96,6 @@ def test_full_pipeline_through_cli(tmp_path):
         "survival", "--lifecycles", str(d / "lifecycles.csv"), "--truth", str(d / "truth.csv"),
         "--out", str(d / "curves.csv"), "--by", "delta", "--edges", "0,1,2,3,6",
     ])
-    curves = (d / "curves.csv").read_text().splitlines()
-    assert curves[0].startswith("bucket_delta,cause,time,incidence")
     _run(base + [
         "survival", "--lifecycles", str(d / "lifecycles.csv"), "--mode", "post-and-wait",
         "--out", str(d / "pw.csv"),
@@ -95,7 +105,6 @@ def test_full_pipeline_through_cli(tmp_path):
         "--out", str(d / "grid2d.csv"), "--by", "delta", "--by", "spread",
         "--edges", "0,2,6", "--edges", "0,32",
     ])
-    assert (d / "grid2d.csv").read_text().splitlines()[0].startswith("bucket_delta,bucket_spread")
     _run(base + [
         "train-fill", "--matrix", str(d / "matrix.csv"), "--seed", "7",
         "--out", str(d / "fill.json"), "--report", str(d / "fill_report.json"), "--importance",
@@ -104,14 +113,11 @@ def test_full_pipeline_through_cli(tmp_path):
         "train-fill", "--matrix", str(d / "matrix.csv"), "--seed", "7", "--per-regime",
         "--out", str(d / "fill_regimes.json"), "--report", str(d / "fill_regimes_report.json"),
     ])
-    assert json.loads((d / "fill_regimes.json").read_text())["kind"] == "fill-per-regime"
     _run(base + [
         "train-cleanup", "--matrix", str(d / "matrix.csv"), "--seed", "7",
         "--out", str(d / "cleanup.json"), "--report", str(d / "cleanup_report.json"),
         "--bucket-curve-out", str(d / "vhat_by_vol.csv"),
     ])
-    assert (d / "vhat_by_vol.csv").read_text().startswith("volatility_lo,volatility_hi")
-    assert "permutation_importance" in json.loads((d / "fill_report.json").read_text())
 
     # route on a hand-written snapshot
     fv = FeatureVector(
@@ -134,11 +140,6 @@ def test_full_pipeline_through_cli(tmp_path):
         "--decision-map-out", str(d / "map.csv"), "--surface-out", str(d / "surface.csv"),
         "--surface-spread-min", "2", "--surface-spread-max", "6",
     ])
-    decision = json.loads((d / "decision.json").read_text())
-    assert decision["action"] in ("limit", "market")
-    surface = (d / "surface.csv").read_text().splitlines()
-    assert surface[0] == "spread,delta,saved_cost,fill_probability,cleanup_ticks,is_optimum"
-    assert len(surface) > 5
 
     # second period for the backtest
     _run(base + [
@@ -155,6 +156,27 @@ def test_full_pipeline_through_cli(tmp_path):
         "--cleanup-model", str(d / "cleanup.json"), "--average-trade-size", "1.0",
         "--out", str(d / "metrics.json"), "--decisions-out", str(d / "decisions.csv"),
     ])
+    _run(base + ["report", "--dir", str(d), "--out", str(d / "report.html")])
+    return d
+
+
+def test_full_pipeline_through_cli(pipeline):
+    d = pipeline
+    diag = json.loads((d / "diag.json").read_text())
+    assert diag["crossed_rejected"] == 0 and diag["unknown_rejected"] == 0
+    curves = (d / "curves.csv").read_text().splitlines()
+    assert curves[0].startswith("bucket_delta,cause,time,incidence")
+    assert (d / "grid2d.csv").read_text().splitlines()[0].startswith("bucket_delta,bucket_spread")
+    assert json.loads((d / "fill_regimes.json").read_text())["kind"] == "fill-per-regime"
+    assert (d / "vhat_by_vol.csv").read_text().startswith("volatility_lo,volatility_hi")
+    assert "permutation_importance" in json.loads((d / "fill_report.json").read_text())
+
+    decision = json.loads((d / "decision.json").read_text())
+    assert decision["action"] in ("limit", "market")
+    surface = (d / "surface.csv").read_text().splitlines()
+    assert surface[0] == "spread,delta,saved_cost,fill_probability,cleanup_ticks,is_optimum"
+    assert len(surface) > 5
+
     metrics = json.loads((d / "metrics.json").read_text())
     assert set(metrics["metrics"]) == {"I", "II", "III"}
     for model_metrics in metrics["metrics"].values():
@@ -164,6 +186,89 @@ def test_full_pipeline_through_cli(tmp_path):
                 expected_f = 2 * m["precision"] * m["recall"] / (m["precision"] + m["recall"])
                 assert m["f_score"] == pytest.approx(expected_f)
 
-    _run(base + ["report", "--dir", str(d), "--out", str(d / "report.html")])
     html = (d / "report.html").read_text()
     assert "metrics.json" in html and "<svg" in html
+
+
+def test_replay_diagnostics_report_every_counter(pipeline):
+    diag = json.loads((pipeline / "diag.json").read_text())
+    expected = {f.name for f in dataclasses.fields(ReplayDiagnostics)} | {"records", "average_trade_size"}
+    assert set(diag) == expected
+    assert diag["average_trade_size"] == pytest.approx(diag["trade_volume"] / diag["trade_count"])
+
+
+def _route(d, fill, cleanup, out):
+    return BASE + [
+        "route", "--snapshot", str(d / "snap.json"), "--fill-model", str(fill),
+        "--cleanup-model", str(cleanup), "--quantity", "1.0", "--out", str(out),
+    ]
+
+
+def _backtest(d, fill, cleanup, out, scored="2", matrix=None):
+    """Scores the second period (``scored="2"``) or the first (``scored=""``)."""
+    return BASE + [
+        "backtest", "--lifecycles", str(d / f"lifecycles{scored}.csv"), "--truth", str(d / f"truth{scored}.csv"),
+        "--train-matrix", str(matrix or d / "matrix.csv"), "--fill-model", str(fill),
+        "--cleanup-model", str(cleanup), "--average-trade-size", "1.0", "--out", str(out),
+    ]
+
+
+@pytest.mark.parametrize("consumer", [_route, _backtest])
+@pytest.mark.parametrize("fill_file", ["fill.json", "fill_regimes.json"])
+def test_every_fill_model_feeds_every_consumer(pipeline, tmp_path, consumer, fill_file):
+    """The fixture already feeds every other artifact to each of its consumers."""
+    d = pipeline
+    out = tmp_path / "out.json"
+    _run(consumer(d, d / fill_file, d / "cleanup.json", out))
+    assert json.loads(out.read_text())
+
+
+def test_per_regime_model_scored_on_its_training_period_overlaps(pipeline, tmp_path, capsys):
+    """The training matrix and the clean-up model come from the other period,
+    so only the per-regime file's own ``trained_span`` can catch the overlap."""
+    d = pipeline
+    _run(BASE + [
+        "features", "--lifecycles", str(d / "lifecycles2.csv"), "--truth", str(d / "truth2.csv"),
+        "--out", str(tmp_path / "matrix2.csv"),
+    ])
+    _run(BASE + [
+        "train-cleanup", "--matrix", str(tmp_path / "matrix2.csv"), "--seed", "7",
+        "--out", str(tmp_path / "cleanup2.json"),
+    ])
+    lo, hi = json.loads((d / "fill_regimes.json").read_text())["trained_span"]
+    args = _backtest(
+        d, d / "fill_regimes.json", tmp_path / "cleanup2.json", tmp_path / "m.json",
+        scored="", matrix=tmp_path / "matrix2.csv",
+    )
+    err = _fails(args, capsys)
+    assert err["error"] == "PeriodOverlap"
+    assert f"[{lo}, {hi}]" in err["message"]
+
+
+def _cleanup_as_fill(d, tmp_path):
+    return d / "cleanup.json", "'kind'"
+
+
+def _renamed_columns(d, tmp_path):
+    blob = json.loads((d / "fill.json").read_text())
+    blob["columns"][0] = "distance"
+    path = tmp_path / "renamed.json"
+    path.write_text(json.dumps(blob))
+    return path, "'columns'"
+
+
+def _no_horizon(d, tmp_path):
+    blob = json.loads((d / "fill.json").read_text())
+    del blob["horizon"]
+    path = tmp_path / "no_horizon.json"
+    path.write_text(json.dumps(blob))
+    return path, "'horizon'"
+
+
+@pytest.mark.parametrize("consumer", [_route, _backtest])
+@pytest.mark.parametrize("bad_fill", [_cleanup_as_fill, _renamed_columns, _no_horizon])
+def test_wrong_or_malformed_fill_model_is_rejected(pipeline, tmp_path, capsys, consumer, bad_fill):
+    path, field = bad_fill(pipeline, tmp_path)
+    err = _fails(consumer(pipeline, path, pipeline / "cleanup.json", tmp_path / "out.json"), capsys)
+    assert err["error"] == "ArtifactInvalid"
+    assert str(path) in err["message"] and field in err["message"]

@@ -3,12 +3,16 @@ import pytest
 
 from lobkit.features import FeatureVector
 from lobkit.fill_model import (
+    FillModel,
+    RegimeFillModels,
     build_training_matrix,
     censoring_survival,
     ipcw_weights,
     stratified_censoring_survival,
     train_fill_model,
+    train_fill_model_per_regime,
 )
+from lobkit.io import load_model
 from lobkit.messages import Side
 from lobkit.mlp import SingleClass, TrainConfig
 from lobkit.replay import OrderLifecycle, Outcome
@@ -209,9 +213,8 @@ def test_fill_model_save_load_round_trip(tmp_path):
     )
     path = tmp_path / "fill.json"
     model.save(path)
-    from lobkit.fill_model import FillModel
-
-    clone = FillModel.load(path)
+    clone = load_model(path)
+    assert isinstance(clone, FillModel)
     np.testing.assert_array_equal(model.mlp.predict(X), clone.mlp.predict(X))
     assert clone.columns == ("a", "b", "c", "d")
 
@@ -226,16 +229,15 @@ def test_per_regime_models_dispatch_on_distance(tmp_path):
     logits = np.where(X[:, delta_col] > 0, 3 * X[:, 3], np.where(X[:, delta_col] < 0, 3 * X[:, 4], 0.5))
     y = (rng.random(n) < 1 / (1 + np.exp(-logits))).astype(float)
     w = np.ones(n)
-    from lobkit.fill_model import RegimeFillModels, train_fill_model_per_regime
-
     cfg = TrainConfig(lr=0.02, batch=128, epochs=60, seed=6, patience=10)
-    models = train_fill_model_per_regime(X, y, w, cfg)
+    models = train_fill_model_per_regime(X, y, w, cfg, trained_span=(10, 20))
     batch = models.predict(X[:50])
     singles = np.array([models.predict(row) for row in X[:50]])
     np.testing.assert_allclose(batch, singles, atol=1e-12)
     path = tmp_path / "regimes.json"
     models.save(path)
-    clone = RegimeFillModels.load(path)
+    clone = load_model(path)
+    assert isinstance(clone, RegimeFillModels) and clone.trained_span == (10, 20)
     np.testing.assert_array_equal(models.predict(X[:50]), clone.predict(X[:50]))
 
 

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from lobkit import io as lio
 from lobkit.fill_model import build_training_matrix
@@ -51,3 +52,29 @@ def test_matrix_round_trip_preserves_values(tmp_path):
     np.testing.assert_array_equal(w, w2)
     assert [m["order_id"] for m in meta] == [r.order_id for r in kept]
     assert all(m["outcome_time"] == r.outcome_time for m, r in zip(meta, kept))
+
+
+def test_write_table_plain_floats_and_empty_none(tmp_path):
+    path = tmp_path / "table.csv"
+    lio.write_table(path, ("a", "b", "c", "d"), [(np.float64(0.1), None, 3, "x")])
+    assert path.read_text().splitlines() == ["a,b,c,d", "0.1,,3,x"]
+
+
+def test_only_aggressiveness_may_be_empty(tmp_path):
+    records = _records()[:5]
+    path = tmp_path / "lifecycles.csv"
+    lio.write_lifecycles(path, records, horizon=1.0)
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+
+    def blanked(name):
+        i = header.index(name)
+        lines = [",".join(header)] + [",".join(r[:i] + [""] + r[i + 1 :]) for r in rows]
+        out = tmp_path / f"blank_{name}.csv"
+        out.write_text("\n".join(lines) + "\n")
+        return out
+
+    assert all(r.features.aggressiveness is None for r in lio.read_lifecycles(blanked("aggressiveness")))
+    for name in lio._FEATURE_FIELDS:
+        if name != "aggressiveness":
+            with pytest.raises(ValueError):
+                lio.read_lifecycles(blanked(name))
