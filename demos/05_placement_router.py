@@ -18,7 +18,7 @@ from lobkit import (
     optimal_distance,
     saved_cost,
 )
-from lobkit.features import FeatureVector
+from lobkit.features import FEATURE_COLUMNS, FeatureVector
 from lobkit.placement import point_mass_move
 
 snapshot = MarketSnapshot(best_bid=19_999.50, best_ask=20_000.50, tick_size=0.01)
@@ -43,14 +43,18 @@ print(f"\ntoy model A=0.9, k=0.2, V=2: optimal ask distance {toy.optimal_distanc
       f"peak saved cost {toy.optimal_saved_cost():.4f}")
 
 
+# models score a matrix of candidate rows, one value per row
+SPREAD, DELTA = FEATURE_COLUMNS.index("spread"), FEATURE_COLUMNS.index("delta")
+
+
 class ToyFill:
-    def predict(self, z):
-        return min(1.0, toy.fill_probability(z.spread + z.delta))
+    def predict(self, X):
+        return np.array([min(1.0, toy.fill_probability(row[SPREAD] + row[DELTA])) for row in X])
 
 
 class ConstantCleanup:
-    def predict(self, z):
-        return 2.0
+    def predict(self, X):
+        return np.full(len(X), 2.0)
 
 
 features = FeatureVector(

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .cleanup import CleanupModel
+from .features import FEATURE_COLUMNS, feature_matrix
 from .fill_model import FillModel
 from .placement import FeePolicy, MarketSnapshot, ToyModel, saved_cost
 from .replay import OrderLifecycle, Outcome
@@ -54,22 +55,24 @@ class RouterModels:
     constant_cleanup: float = 0.0  # ticks
     trained_span: tuple[int, int] | None = None
 
-    def fill_probability(self, spec: ModelSpec, record: OrderLifecycle) -> float:
-        if spec.fill == "exponential":
+    def fill_probabilities(self, kind: str, X: np.ndarray) -> list[float]:
+        """A ``ModelSpec.fill`` component's fill probability for each row of ``X``."""
+        if kind == "exponential":
             if self.toy is None:
                 raise ValueError("exponential fill component not fitted")
-            ask_distance = record.features.spread + record.features.delta
-            return min(1.0, self.toy.fill_probability(ask_distance))
+            ask_distances = X[:, FEATURE_COLUMNS.index("spread")] + X[:, FEATURE_COLUMNS.index("delta")]
+            return [min(1.0, self.toy.fill_probability(d)) for d in ask_distances.tolist()]
         if self.fill is None:
             raise ValueError("fill model not trained")
-        return float(self.fill.predict(record.features))
+        return self.fill.predict(X).tolist()
 
-    def cleanup_ticks(self, spec: ModelSpec, record: OrderLifecycle) -> float:
-        if spec.cleanup == "constant":
-            return self.constant_cleanup
+    def cleanup_costs(self, kind: str, X: np.ndarray) -> list[float]:
+        """A ``ModelSpec.cleanup`` component's clean-up cost in ticks for each row of ``X``."""
+        if kind == "constant":
+            return [self.constant_cleanup] * len(X)
         if self.cleanup is None:
             raise ValueError("clean-up model not trained")
-        return float(self.cleanup.predict(record.features))
+        return self.cleanup.predict(X).tolist()
 
 
 @dataclass
@@ -169,6 +172,7 @@ def run_backtest(
 
     The snapshot behind each decision is rebuilt from the record's own
     insertion state; a training span overlapping the scored records raises.
+    Each model component scores all labelled records in one call.
     """
     check_disjoint(models.trained_span, records)
     labels: list[int] = []
@@ -182,8 +186,11 @@ def run_backtest(
         labels.append(label)
         used.append(rec)
 
+    X = feature_matrix(rec.features for rec in used)
+    fills = {kind: models.fill_probabilities(kind, X) for kind in dict.fromkeys(spec.fill for spec in specs)}
+    cleanups = {kind: models.cleanup_costs(kind, X) for kind in dict.fromkeys(spec.cleanup for spec in specs)}
     decisions: dict[str, list[int]] = {spec.id: [] for spec in specs}
-    for rec in used:
+    for i, rec in enumerate(used):
         best_bid_ticks = rec.price + int(rec.features.delta) if rec.side.value == "bid" else None
         if best_bid_ticks is None:
             best_bid_ticks = int(rec.price - rec.features.delta - rec.features.spread)
@@ -195,9 +202,7 @@ def run_backtest(
             features=rec.features,
         )
         for spec in specs:
-            f = models.fill_probability(spec, rec)
-            v = models.cleanup_ticks(spec, rec)
-            s = saved_cost(snapshot, int(rec.features.delta), fees, f, v)
+            s = saved_cost(snapshot, int(rec.features.delta), fees, fills[spec.fill][i], cleanups[spec.cleanup][i])
             decisions[spec.id].append(1 if s > 0 else 0)
 
     truth = np.asarray(labels)

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import FEATURE_COLUMNS, FeatureVector
+from .features import FEATURE_COLUMNS, FeatureVector, feature_matrix
 from .fill_model import HIDDEN_LAYERS, NetModel
 from .mlp import MLP, TrainConfig, train_mlp
 from .replay import OrderLifecycle
@@ -151,8 +151,4 @@ def train_cleanup_model(
 
 
 def samples_to_matrix(samples: Sequence[CleanupSample]) -> tuple[np.ndarray, np.ndarray]:
-    if not samples:
-        return np.zeros((0, len(FEATURE_COLUMNS))), np.zeros(0)
-    X = np.array([s.features.to_row() for s in samples])
-    t = np.array([s.target for s in samples])
-    return X, t
+    return feature_matrix(s.features for s in samples), np.array([s.target for s in samples], dtype=float)

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -30,7 +31,7 @@ from .backtest import (
     select_eligible,
 )
 from .cleanup import CleanupModel, bucket_estimate, train_cleanup_model
-from .features import FEATURE_COLUMNS, FeatureVector
+from .features import FEATURE_COLUMNS, FeatureVector, feature_matrix
 from .fill_model import (
     FillModel,
     RegimeFillModels,
@@ -167,6 +168,13 @@ def _require(path: str, what: str) -> Path:
     return p
 
 
+def _feature_column(name: str, option: str) -> int:
+    """Index of ``name`` in the model row; ``option`` names the flag in the error."""
+    if name not in FEATURE_COLUMNS:
+        raise ConfigInvalid(f"{option} {name!r} is not a feature column; choose from {list(FEATURE_COLUMNS)}")
+    return FEATURE_COLUMNS.index(name)
+
+
 def _write_json(path: str | None, payload: dict) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2)
     if path is None:
@@ -285,12 +293,11 @@ def cmd_survival(args, cfg: PipelineConfig) -> int:
     by = []
     edges_list = args.edges or []
     for i, name in enumerate(args.by):
-        if name not in FEATURE_COLUMNS:
-            raise ConfigInvalid(f"unknown feature {name!r}")
+        col = _feature_column(name, "--by")
         if i < len(edges_list):
             edges = [float(x) for x in edges_list[i].split(",")]
         else:
-            edges = quantile_edges([getattr(r.features, name) for r in records], 5)
+            edges = quantile_edges(feature_matrix(r.features for r in records)[:, col], 5)
         by.append((name, edges))
     curves, report = conditional_curves(records, by, min_count=cfg.min_bucket_count)
     lio.write_cif_curves(args.out, curves, [name for name, _ in by])
@@ -325,6 +332,7 @@ def cmd_train_fill(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_train_cleanup(args, cfg: PipelineConfig) -> int:
+    bucket_col = _feature_column(args.bucket_feature, "--bucket-feature")
     X, y, w, meta = lio.read_matrix(_require(args.matrix, "feature matrix"))
     rows = [
         i
@@ -341,7 +349,7 @@ def cmd_train_cleanup(args, cfg: PipelineConfig) -> int:
     )
     model.save(args.out)
     if args.bucket_curve_out:
-        values = Xc[:, FEATURE_COLUMNS.index(args.bucket_feature)]
+        values = Xc[:, bucket_col]
         edges = quantile_edges(values, 6)
         curve = bucket_estimate(values, targets, edges, min_count=max(10, cfg.min_bucket_count // 10))
         lio.write_table(
@@ -620,7 +628,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = load_config(args.config, args.overrides)
         return args.func(args, cfg)
     except Exception as exc:  # surface every failure as machine-readable JSON
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+        payload = {"error": type(exc).__name__, "message": str(exc), "traceback": traceback.format_exc()}
+        print(json.dumps(payload), file=sys.stderr)
         return 1
 
 

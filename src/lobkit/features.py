@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from operator import attrgetter
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -48,6 +49,7 @@ FEATURE_COLUMNS = (
     "is_at_best",
     "is_aggressive",
 )
+_ROW = attrgetter(*FEATURE_COLUMNS)
 
 
 @dataclass(slots=True)
@@ -69,28 +71,22 @@ class FeatureVector:
     volatility: float  # percent per trade
     partial_window: bool = False
 
+    @property
+    def is_at_best(self) -> float:
+        return 1.0 if self.delta == 0 else 0.0
+
+    @property
+    def is_aggressive(self) -> float:
+        return 1.0 if self.delta < 0 else 0.0
+
     def to_row(self) -> np.ndarray:
-        return np.array(
-            [
-                self.delta,
-                self.spread,
-                self.spread_after,
-                self.best_imbalance,
-                self.add_imbalance,
-                0.0 if self.aggressiveness is None else self.aggressiveness,
-                self.prior_volume,
-                self.size,
-                self.signed_flow,
-                self.flow_imbalance,
-                self.signed_traded,
-                self.traded_imbalance,
-                self.time_since_trade,
-                self.median_trade_duration,
-                self.volatility,
-                1.0 if self.delta == 0 else 0.0,
-                1.0 if self.delta < 0 else 0.0,
-            ]
-        )
+        """The model row: the ``FEATURE_COLUMNS`` attributes, ``None`` as 0.0."""
+        return np.array([0.0 if v is None else v for v in _ROW(self)])
+
+
+def feature_matrix(vectors: Iterable[FeatureVector]) -> np.ndarray:
+    """The (n, len(FEATURE_COLUMNS)) model matrix, one row per vector."""
+    return np.array([v.to_row() for v in vectors]).reshape(-1, len(FEATURE_COLUMNS))
 
 
 class RollingWindows:

@@ -16,7 +16,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .features import FEATURE_COLUMNS, FeatureVector
+from .features import FEATURE_COLUMNS, feature_matrix
 from .mlp import MLP, SingleClass, TrainConfig, TrainingReport, train_mlp
 from .replay import OrderLifecycle, Outcome
 from .survival import (
@@ -176,8 +176,7 @@ def build_training_matrix(
     """(X, y, w, kept_records, ipcw) ready for the classifier."""
     kept = [r for r in records if not (drop_partial_windows and r.partial_window)]
     ipcw = ipcw_weights(kept, horizon, censoring, floor=floor)
-    X = np.array([r.features.to_row() for r in kept]) if kept else np.zeros((0, len(FEATURE_COLUMNS)))
-    return X, ipcw.labels, ipcw.weights, kept, ipcw
+    return feature_matrix(r.features for r in kept), ipcw.labels, ipcw.weights, kept, ipcw
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +212,9 @@ class NetModel:
     trained_span: tuple[int, int] | None = None  # (first_ts, last_ts) of training rows
     report: TrainingReport | None = None
 
-    def predict(self, z: FeatureVector | np.ndarray) -> float | np.ndarray:
-        row = z.to_row() if isinstance(z, FeatureVector) else np.asarray(z, dtype=float)
-        out = self.mlp.predict(row)
-        return float(out[0]) if row.ndim == 1 else out
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """One output per row of the (n, len(columns)) matrix ``X``."""
+        return self.mlp.predict(X)
 
     def envelope(self) -> dict:
         return {**_header(self.kind, self.columns, self.horizon, self.trained_span), "mlp": self.mlp.to_dict()}
@@ -266,20 +264,15 @@ class RegimeFillModels:
     horizon: float = 1.0
     trained_span: tuple[int, int] | None = None
 
-    def predict(self, z: FeatureVector | np.ndarray) -> float | np.ndarray:
-        arr = z.to_row() if isinstance(z, FeatureVector) else np.asarray(z, dtype=float)
-        single = arr.ndim == 1
-        arr = np.atleast_2d(arr)
-        delta = arr[:, self.columns.index("delta")]
-        out = np.empty(len(arr))
-        for selector, model in (
-            (delta > 0, self.passive),
-            (delta == 0, self.at_best),
-            (delta < 0, self.aggressive),
-        ):
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """One output per row of the (n, len(columns)) matrix ``X``."""
+        X = np.asarray(X, dtype=float)
+        delta = X[:, self.columns.index("delta")]
+        out = np.empty(len(X))
+        for name, selector in zip(REGIMES, (delta > 0, delta == 0, delta < 0)):
             if np.any(selector):
-                out[selector] = model.mlp.predict(arr[selector])
-        return float(out[0]) if single else out
+                out[selector] = getattr(self, name).predict(X[selector])
+        return out
 
     def save(self, path: str | Path) -> None:
         blob = _header(self.kind, self.columns, self.horizon, self.trained_span)

@@ -10,12 +10,12 @@ size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .features import FeatureVector
+from .features import FeatureVector, feature_matrix
 
 
 class InadmissibleDistance(ValueError):
@@ -167,24 +167,14 @@ def features_for_distance(
     starts a fresh queue so its priority volume is zero.
     """
     spread = snapshot.spread_ticks
-    omega = delta / (1.0 - spread) if (delta < 0 and spread > 1) else None
-    return FeatureVector(
+    return replace(
+        base,
         delta=float(delta),
         spread=float(spread),
         spread_after=float(min(spread, spread + delta)),
-        best_imbalance=base.best_imbalance,
-        add_imbalance=base.add_imbalance,
-        aggressiveness=omega,
+        aggressiveness=delta / (1.0 - spread) if (delta < 0 and spread > 1) else None,
         prior_volume=0.0 if delta < 0 else base.prior_volume,
         size=float(quantity),
-        signed_flow=base.signed_flow,
-        flow_imbalance=base.flow_imbalance,
-        signed_traded=base.signed_traded,
-        traded_imbalance=base.traded_imbalance,
-        time_since_trade=base.time_since_trade,
-        median_trade_duration=base.median_trade_duration,
-        volatility=base.volatility,
-        partial_window=base.partial_window,
     )
 
 
@@ -198,8 +188,9 @@ def optimal_distance(
 ) -> PlacementDecision:
     """Exhaustive integer sweep of the saved cost over admissible distances.
 
-    Ties break toward the least aggressive (largest) distance; the market
-    tactic wins whenever no distance keeps a positive saved cost.
+    Each model scores the stacked candidate rows in one call.  Ties break
+    toward the least aggressive (largest) distance; the market tactic wins
+    whenever no distance keeps a positive saved cost.
     """
     if fill_model is None or cleanup_model is None:
         raise ModelUnavailable("both fill and clean-up models are required")
@@ -209,24 +200,20 @@ def optimal_distance(
     lo, hi = delta_range if delta_range is not None else (-spread + 1, max(1, 2 * spread))
     if lo <= -spread:
         raise InadmissibleDistance(f"range start {lo} is not admissible for spread {spread}")
-    best_delta = None
+    deltas = range(lo, hi + 1)
+    X = feature_matrix(features_for_distance(snapshot.features, snapshot, quantity, d) for d in deltas)
+    best_delta = best_v = None
     best_s = -math.inf
     curve: list[dict] = []
-    for delta in range(lo, hi + 1):
-        z = features_for_distance(snapshot.features, snapshot, quantity, delta)
-        f = float(fill_model.predict(z))
-        v = float(cleanup_model.predict(z))
+    for delta, f, v in zip(deltas, fill_model.predict(X).tolist(), cleanup_model.predict(X).tolist()):
         s = saved_cost(snapshot, delta, fees, f, v)
         curve.append({"delta": delta, "fill_probability": f, "cleanup_ticks": v, "saved_cost": s})
         if s >= best_s:  # ascending sweep, so ties resolve to the largest delta
-            best_s = s
-            best_delta = delta
-    if best_s <= 0 or best_delta is None:
+            best_s, best_delta, best_v = s, delta, v
+    if best_s <= 0:
         return PlacementDecision("market", None, best_s, None, curve)
-    z_best = features_for_distance(snapshot.features, snapshot, quantity, best_delta)
-    v_best = float(cleanup_model.predict(z_best))
     try:
-        be = break_even_fill(snapshot, best_delta, fees, v_best)
+        be = break_even_fill(snapshot, best_delta, fees, best_v)
     except NonpositiveDenominator:
         be = None
     return PlacementDecision("limit", best_delta, best_s, be, curve)
@@ -400,17 +387,7 @@ def distance_spread_surface(
             features=snapshot.features,
         )
         decision = optimal_distance(hypo, quantity, fees, fill_model, cleanup_model, (-spread + 1, depth))
-        for cell in decision.curve:
-            rows.append(
-                {
-                    "spread": spread,
-                    "delta": cell["delta"],
-                    "saved_cost": cell["saved_cost"],
-                    "fill_probability": cell["fill_probability"],
-                    "cleanup_ticks": cell["cleanup_ticks"],
-                    "is_optimum": cell["delta"] == decision.distance,
-                }
-            )
+        rows.extend({"spread": spread, **cell, "is_optimum": cell["delta"] == decision.distance} for cell in decision.curve)
     return rows
 
 

@@ -18,6 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .features import FEATURE_COLUMNS, feature_matrix
+
 CAUSE_CENSORED = 0
 CAUSE_EXECUTION = 1
 CAUSE_CANCELLATION = 2
@@ -333,18 +335,18 @@ def conditional_curves(
 ) -> tuple[dict[tuple, CIFCurve], BucketReport]:
     """Independent incidence estimation on a 1-D or 2-D feature grid.
 
-    ``by`` gives (feature name, bucket edges) pairs; a record lands in bucket
-    ``i`` of a feature when ``edges[i] <= value < edges[i+1]``.  Buckets with
-    fewer than ``min_count`` records are omitted and reported.
+    ``by`` gives (feature column, bucket edges) pairs; a record lands in bucket
+    ``i`` when its model-row value is in ``[edges[i], edges[i+1])``.  Buckets
+    with fewer than ``min_count`` records are omitted and reported.
     """
     if not 1 <= len(by) <= 2:
         raise ValueError("bucketing must use one or two features")
+    columns = [FEATURE_COLUMNS.index(name) for name, _ in by]
     groups: dict[tuple, list] = {}
-    for rec in records:
+    for rec, row in zip(records, feature_matrix(rec.features for rec in records)):
         key = []
-        for name, edges in by:
-            value = getattr(rec.features, name)
-            idx = int(np.searchsorted(edges, value, side="right")) - 1
+        for col, (_, edges) in zip(columns, by):
+            idx = int(np.searchsorted(edges, row[col], side="right")) - 1
             if idx < 0 or idx >= len(edges) - 1:
                 break
             key.append(idx)

@@ -14,7 +14,7 @@ from lobkit.backtest import (
     run_backtest,
     select_eligible,
 )
-from lobkit.features import FeatureVector
+from lobkit.features import FEATURE_COLUMNS, FeatureVector
 from lobkit.messages import Side
 from lobkit.placement import FEE_TABLE, ZERO_FEES, ToyModel
 from lobkit.replay import OrderLifecycle, Outcome
@@ -121,18 +121,29 @@ def test_metrics_identity():
 # ---------------------------------------------------------------------------
 
 
-class _OracleModels(RouterModels):
-    """Perfect-foresight stub: drives the saved cost to the label's sign."""
+class _RowOracle:
+    """Model stub returning fixed per-row values for a matrix of known length."""
 
-    def __init__(self, labels_by_id):
-        super().__init__(toy=ToyModel(0.5, 0.5, 1.0))
-        self.labels_by_id = labels_by_id
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
 
-    def fill_probability(self, spec, record):
-        return 1.0 if self.labels_by_id[record.order_id] == 1 else 0.0
+    def predict(self, X):
+        assert X.shape == (len(self.values), len(FEATURE_COLUMNS))
+        return self.values
 
-    def cleanup_ticks(self, spec, record):
-        return 0.0 if self.labels_by_id[record.order_id] == 1 else 50.0
+
+def _oracle_models(labels_by_id):
+    """Perfect-foresight stub: drives the saved cost to the label's sign.
+
+    The backtest scores the labelled records in record order, so the label
+    order of ``labels_by_id`` (ties left out) is the row order.
+    """
+    labels = list(labels_by_id.values())
+    return RouterModels(
+        toy=ToyModel(0.5, 0.5, 1.0),
+        fill=_RowOracle([1.0 if label == 1 else 0.0 for label in labels]),
+        cleanup=_RowOracle([0.0 if label == 1 else 50.0 for label in labels]),
+    )
 
 
 def _mixed_records():
@@ -148,7 +159,7 @@ def _mixed_records():
 def test_perfect_foresight_oracle_scores_one():
     records = _mixed_records()
     labels = {r.order_id: label_outcome(r, 1.0) for r in records}
-    models = _OracleModels(labels)
+    models = _oracle_models(labels)
     report = run_backtest(records, [MODEL_III], models, FEE_TABLE[9], 1.0, 0.01)
     for action in ("limit", "market"):
         assert report.per_model["III"][action].precision == 1.0
@@ -168,7 +179,7 @@ def test_constant_market_model_recalls():
 def test_tie_labels_excluded_and_counted():
     records = _mixed_records() + [_record(1.5, Outcome.CANCELLED, dp=0.0, oid="tie")]
     labels = {r.order_id: label_outcome(r, 1.0) for r in records if r.order_id != "tie"}
-    report = run_backtest(records, [MODEL_III], _OracleModels(labels), FEE_TABLE[9], 1.0, 0.01)
+    report = run_backtest(records, [MODEL_III], _oracle_models(labels), FEE_TABLE[9], 1.0, 0.01)
     assert report.excluded_ties == 1
     assert report.evaluated == len(records) - 1
 

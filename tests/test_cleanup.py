@@ -217,7 +217,8 @@ def test_predict_cleanup_deterministic_and_finite():
     X = rng.normal(size=(100, 4))
     t = X[:, 1] * 3
     model = train_cleanup_model(X, t, TrainConfig(lr=0.02, batch=32, epochs=20, seed=12), columns=("a", "b", "c", "d"))
-    row = X[0]
+    row = X[:1]
     a = model.predict(row)
     b = model.predict(row)
-    assert a == b and np.isfinite(a)
+    assert a.shape == (1,)
+    assert a[0] == b[0] and np.isfinite(a[0])

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from lobkit.cli import load_config, main, ConfigInvalid
-from lobkit.features import FeatureVector
+from lobkit.features import FEATURE_COLUMNS, FeatureVector
 from lobkit.messages import read_messages, write_messages
 from lobkit.replay import ReplayDiagnostics
 from lobkit.synth import GroundTruthConfig, generate_flow
@@ -195,6 +195,33 @@ def test_replay_diagnostics_report_every_counter(pipeline):
     expected = {f.name for f in dataclasses.fields(ReplayDiagnostics)} | {"records", "average_trade_size"}
     assert set(diag) == expected
     assert diag["average_trade_size"] == pytest.approx(diag["trade_volume"] / diag["trade_count"])
+
+
+@pytest.mark.parametrize("feature", FEATURE_COLUMNS)
+def test_survival_by_every_feature_column(pipeline, tmp_path, feature):
+    """Default edges are quantiles of the model-row value, so every column buckets."""
+    out = tmp_path / "curves.csv"
+    _run(BASE + ["survival", "--lifecycles", str(pipeline / "lifecycles.csv"), "--out", str(out), "--by", feature])
+    assert out.read_text().startswith(f"bucket_{feature},cause,time,incidence")
+
+
+def _survival_by(d, tmp_path, name):
+    return ["survival", "--lifecycles", str(d / "lifecycles.csv"), "--out", str(tmp_path / "c.csv"), "--by", name]
+
+
+def _bucket_feature(d, tmp_path, name):
+    return [
+        "train-cleanup", "--matrix", str(d / "matrix.csv"), "--seed", "7", "--out", str(tmp_path / "cleanup.json"),
+        "--bucket-curve-out", str(tmp_path / "b.csv"), "--bucket-feature", name,
+    ]
+
+
+@pytest.mark.parametrize("command", [_survival_by, _bucket_feature])
+def test_unknown_feature_name_rejected_before_any_work(pipeline, tmp_path, capsys, command):
+    err = _fails(BASE + command(pipeline, tmp_path, "volatilty"), capsys)
+    assert err["error"] == "ConfigInvalid" and "'volatilty'" in err["message"]
+    assert "_feature_column" in err["traceback"]  # the JSON error names the raising function
+    assert list(tmp_path.iterdir()) == []
 
 
 def _route(d, fill, cleanup, out):

@@ -232,7 +232,7 @@ def test_per_regime_models_dispatch_on_distance(tmp_path):
     cfg = TrainConfig(lr=0.02, batch=128, epochs=60, seed=6, patience=10)
     models = train_fill_model_per_regime(X, y, w, cfg, trained_span=(10, 20))
     batch = models.predict(X[:50])
-    singles = np.array([models.predict(row) for row in X[:50]])
+    singles = np.concatenate([models.predict(X[i : i + 1]) for i in range(50)])
     np.testing.assert_allclose(batch, singles, atol=1e-12)
     path = tmp_path / "regimes.json"
     models.save(path)

@@ -1,0 +1,203 @@
+"""The batched router and backtest against one-row-at-a-time references.
+
+``optimal_distance`` and ``run_backtest`` call each model once on a stacked
+matrix.  The references below score one candidate or record at a time, with
+a one-row predict per model, and must reach the same decisions; the batched
+matmul may round differently, so curve values agree to 1e-12.
+"""
+
+import dataclasses
+import math
+from functools import cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lobkit.backtest import MODEL_I, MODEL_II, MODEL_III, RouterModels, label_outcome, run_backtest
+from lobkit.cleanup import train_cleanup_model
+from lobkit.features import FEATURE_COLUMNS, FeatureVector
+from lobkit.fill_model import train_fill_model, train_fill_model_per_regime
+from lobkit.messages import Side
+from lobkit.mlp import TrainConfig
+from lobkit.placement import (
+    FEE_TABLE,
+    ZERO_FEES,
+    MarketSnapshot,
+    NonpositiveDenominator,
+    ToyModel,
+    break_even_fill,
+    features_for_distance,
+    optimal_distance,
+    saved_cost,
+)
+from lobkit.replay import OrderLifecycle, Outcome
+
+SETTINGS = settings(max_examples=40, deadline=None, database=None, derandomize=True)
+TICK = 0.01
+HORIZON = 1.0
+FEES = st.sampled_from([ZERO_FEES, *FEE_TABLE.values()])
+FREE_FIELDS = [
+    f.name
+    for f in dataclasses.fields(FeatureVector)
+    if f.name not in ("delta", "spread", "aggressiveness", "partial_window")
+]
+
+
+@cache
+def _nets():
+    """(pooled fill, per-regime fill, clean-up) networks trained on random rows."""
+    rng = np.random.default_rng(17)
+    n = 900
+    X = rng.normal(size=(n, len(FEATURE_COLUMNS)))
+    X[:, FEATURE_COLUMNS.index("delta")] = rng.integers(-3, 9, size=n)
+    X[:, FEATURE_COLUMNS.index("spread")] = rng.integers(1, 13, size=n)
+    logits = 1.0 - 0.4 * X[:, FEATURE_COLUMNS.index("delta")] + X[:, FEATURE_COLUMNS.index("volatility")]
+    y = (rng.random(n) < 1 / (1 + np.exp(-logits))).astype(float)
+    cfg = TrainConfig(lr=0.01, batch=128, epochs=8, seed=3)
+    pooled = train_fill_model(X, y, np.ones(n), cfg)
+    regimes = train_fill_model_per_regime(X, y, np.ones(n), cfg)
+    targets = 2.0 + X[:, FEATURE_COLUMNS.index("volatility")] + rng.normal(size=n)
+    cleanup = train_cleanup_model(X, targets, cfg)
+    return pooled, regimes, cleanup
+
+
+class _Flat:
+    """A model with one output for every row."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def predict(self, X):
+        return np.full(len(X), self.value)
+
+
+def _fill_net(kind):
+    pooled, regimes, _ = _nets()
+    return pooled if kind == "pooled" else regimes
+
+
+def _route_models(kind):
+    """(fill, clean-up); ``flat`` never fills and expects a falling ask, so every
+    distance saves the same positive cost and the tie rule picks the distance."""
+    if kind == "flat":
+        return _Flat(0.0), _Flat(-3.0)
+    return _fill_net(kind), _nets()[2]
+
+
+@st.composite
+def feature_vectors(draw, spread, delta):
+    free = {name: draw(st.floats(-5.0, 5.0)) for name in FREE_FIELDS}
+    omega = delta / (1.0 - spread) if (delta < 0 and spread > 1) else None
+    return FeatureVector(delta=float(delta), spread=float(spread), aggressiveness=omega, **free)
+
+
+@st.composite
+def route_cases(draw):
+    spread = draw(st.integers(1, 12))
+    bid = draw(st.integers(1_000, 30_000))
+    features = draw(feature_vectors(spread, draw(st.integers(-spread + 1, 8))))
+    snapshot = MarketSnapshot(best_bid=bid * TICK, best_ask=(bid + spread) * TICK, tick_size=TICK, features=features)
+    delta_range = (-spread + 1, draw(st.integers(-spread + 1, 40)))
+    return snapshot, draw(st.floats(0.1, 10.0)), draw(FEES), delta_range
+
+
+def _one_row(model, z: FeatureVector) -> float:
+    (value,) = model.predict(z.to_row()[None, :])
+    return float(value)
+
+
+def _scalar_sweep(snapshot, quantity, fees, fill, cleanup, delta_range):
+    """One-row predicts per distance; returns ((action, distance, break-even), curve)."""
+    best_s, best_delta = -math.inf, None
+    curve = []
+    for delta in range(delta_range[0], delta_range[1] + 1):
+        z = features_for_distance(snapshot.features, snapshot, quantity, delta)
+        f, v = _one_row(fill, z), _one_row(cleanup, z)
+        s = saved_cost(snapshot, delta, fees, f, v)
+        curve.append((f, v, s))
+        if s >= best_s:
+            best_s, best_delta = s, delta
+    if best_s <= 0:
+        return ("market", None, None), curve
+    z = features_for_distance(snapshot.features, snapshot, quantity, best_delta)
+    try:
+        be = break_even_fill(snapshot, best_delta, fees, _one_row(cleanup, z))
+    except NonpositiveDenominator:
+        be = None
+    return ("limit", best_delta, be), curve
+
+
+def _close(a, b):
+    return a == pytest.approx(b, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["pooled", "per-regime", "flat"])
+@SETTINGS
+@given(case=route_cases())
+def test_optimal_distance_matches_scalar_sweep(kind, case):
+    snapshot, quantity, fees, delta_range = case
+    fill, cleanup = _route_models(kind)
+    decision = optimal_distance(snapshot, quantity, fees, fill, cleanup, delta_range)
+    (action, distance, be), curve = _scalar_sweep(snapshot, quantity, fees, fill, cleanup, delta_range)
+    assert (decision.action, decision.distance) == (action, distance)
+    assert (decision.break_even_fill is None) == (be is None)
+    if be is not None:
+        assert _close(decision.break_even_fill, be)
+    assert [cell["delta"] for cell in decision.curve] == list(range(delta_range[0], delta_range[1] + 1))
+    for cell, (f, v, s) in zip(decision.curve, curve):
+        assert _close(cell["fill_probability"], f)
+        assert _close(cell["cleanup_ticks"], v)
+        assert _close(cell["saved_cost"], s)
+
+
+@st.composite
+def lifecycles(draw):
+    spread = draw(st.integers(1, 12))
+    delta = draw(st.integers(-spread + 1, 10))
+    return OrderLifecycle(
+        order_id="r",
+        side=draw(st.sampled_from(list(Side))),
+        insert_ts=10**9,
+        price=5_000,
+        size=1.0,
+        features=draw(feature_vectors(spread, delta)),
+        outcome=draw(st.sampled_from(list(Outcome))),
+        outcome_time=draw(st.floats(0.05, 3.0)),
+        dp_ask_horizon=float(draw(st.integers(-3, 3))),
+    )
+
+
+def _per_record_decisions(records, specs, models, fees):
+    """The parent's backtest loop: one-row predicts per record and spec."""
+    decisions = {spec.id: [] for spec in specs}
+    for rec in records:
+        if label_outcome(rec, HORIZON) is None:
+            continue
+        z = rec.features
+        bid = rec.price + int(z.delta) if rec.side is Side.BID else int(rec.price - z.delta - z.spread)
+        snapshot = MarketSnapshot(best_bid=bid * TICK, best_ask=(bid + int(z.spread)) * TICK, tick_size=TICK)
+        for spec in specs:
+            if spec.fill == "exponential":
+                f = min(1.0, models.toy.fill_probability(z.spread + z.delta))
+            else:
+                f = _one_row(models.fill, z)
+            v = models.constant_cleanup if spec.cleanup == "constant" else _one_row(models.cleanup, z)
+            decisions[spec.id].append(1 if saved_cost(snapshot, int(z.delta), fees, f, v) > 0 else 0)
+    return decisions
+
+
+@pytest.mark.parametrize("fill_kind", ["pooled", "per-regime"])
+@SETTINGS
+@given(records=st.lists(lifecycles(), min_size=1, max_size=30), fees=FEES)
+def test_run_backtest_matches_per_record_reference(fill_kind, records, fees):
+    specs = [MODEL_I, MODEL_II, MODEL_III]
+    models = RouterModels(
+        toy=ToyModel(amplitude=0.8, decay=0.3, cleanup=2.0),
+        fill=_fill_net(fill_kind),
+        cleanup=_nets()[2],
+        constant_cleanup=2.0,
+    )
+    report = run_backtest(records, specs, models, fees, HORIZON, TICK)
+    assert report.decisions == _per_record_decisions(records, specs, models, fees)

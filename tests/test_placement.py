@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lobkit.features import FeatureVector
+from lobkit.features import FEATURE_COLUMNS, FeatureVector
 from lobkit.placement import (
     FEE_TABLE,
     ZERO_FEES,
@@ -208,8 +208,8 @@ class _ConstantModel:
     def __init__(self, value):
         self.value = value
 
-    def predict(self, z):
-        return self.value
+    def predict(self, X):
+        return np.full(len(X), self.value)
 
 
 class _ToyFillModel:
@@ -217,8 +217,9 @@ class _ToyFillModel:
         self.toy = toy
         self.spread = spread
 
-    def predict(self, z):
-        return min(1.0, self.toy.fill_probability(self.spread + z.delta))
+    def predict(self, X):
+        deltas = X[:, FEATURE_COLUMNS.index("delta")]
+        return np.array([min(1.0, self.toy.fill_probability(self.spread + d)) for d in deltas])
 
 
 def _snapshot(spread=10, bid=10_000):
