@@ -47,7 +47,7 @@ def collect_cleanup_samples(
         if rec.dp_ask_horizon is None:
             report.unmeasurable += 1
             continue
-        if drop_partial_windows and rec.partial_window:
+        if drop_partial_windows and rec.features.partial_window:
             report.partial_window += 1
             continue
         samples.append(CleanupSample(rec.features, rec.dp_ask_horizon))

@@ -13,6 +13,7 @@ import json
 import sys
 import traceback
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
@@ -114,42 +115,41 @@ class PipelineConfig:
         )
 
 
+def _assign(target, item: str, where: str) -> None:
+    """Set the scalar dataclass field named by the ``key=value`` text ``item``.
+
+    The value is parsed with the field's current type (int, float, str or an
+    enum).  Every failure is a ``ConfigInvalid`` naming ``where`` (an option,
+    or a file and line) and the key.
+    """
+    key, sep, raw = item.partition("=")
+    key = key.strip()
+    if not sep:
+        raise ConfigInvalid(f"{where} {item!r}: expected key=value")
+    if key not in {f.name for f in dataclasses.fields(target)}:
+        raise ConfigInvalid(f"{where} {key!r}: unknown key")
+    kind = type(getattr(target, key))
+    if kind not in (int, float, str) and not issubclass(kind, Enum):
+        raise ConfigInvalid(f"{where} {key!r}: only int, float, str and enum fields can be set from text")
+    try:
+        setattr(target, key, kind(raw.strip()))
+    except ValueError as exc:
+        raise ConfigInvalid(f"{where} {key!r}: {exc}") from exc
+
+
 def load_config(path: str | None, overrides: Sequence[str]) -> PipelineConfig:
     """Plain ``key = value`` file, then ``--set key=value`` overrides."""
-    values: dict[str, str] = {}
+    cfg = PipelineConfig()
     if path is not None:
         p = Path(path)
         if not p.exists():
             raise InputMissing(f"config file {path} does not exist")
         for line_no, line in enumerate(p.read_text().splitlines(), 1):
             line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigInvalid(f"{path}:{line_no}: expected key = value")
-            key, _, raw = line.partition("=")
-            values[key.strip()] = raw.strip()
+            if line:
+                _assign(cfg, line, f"{path}:{line_no}")
     for item in overrides:
-        if "=" not in item:
-            raise ConfigInvalid(f"--set {item!r}: expected key=value")
-        key, _, raw = item.partition("=")
-        values[key.strip()] = raw.strip()
-    cfg = PipelineConfig()
-    for key, raw in values.items():
-        if not hasattr(cfg, key):
-            raise ConfigInvalid(f"unknown config key {key!r}")
-        current = getattr(cfg, key)
-        try:
-            if isinstance(current, bool):
-                setattr(cfg, key, raw.lower() in ("1", "true", "yes"))
-            elif isinstance(current, int):
-                setattr(cfg, key, int(raw))
-            elif isinstance(current, float):
-                setattr(cfg, key, float(raw))
-            else:
-                setattr(cfg, key, raw)
-        except ValueError as exc:
-            raise ConfigInvalid(f"config key {key!r}: {exc}") from exc
+        _assign(cfg, item, "--set")
     if cfg.horizon <= 0:
         raise ConfigInvalid("horizon must be positive")
     if cfg.fee_level not in FEE_TABLE and cfg.fee_level != 0:
@@ -191,14 +191,7 @@ def _write_json(path: str | None, payload: dict) -> None:
 def cmd_synth(args, cfg: PipelineConfig) -> int:
     config = lsynth_preset(args.preset, args.seed, cfg)
     for item in args.synth_set or []:
-        key, _, raw = item.partition("=")
-        key = key.strip()
-        if not hasattr(config, key):
-            raise ConfigInvalid(f"unknown synth key {key!r}")
-        current = getattr(config, key)
-        if isinstance(current, (tuple, list)) or dataclasses.is_dataclass(current):
-            raise ConfigInvalid(f"synth key {key!r} is not overridable from the command line")
-        setattr(config, key, type(current)(raw))
+        _assign(config, item, "--synth-set")
     messages, truth = lsynth.generate_flow(config, args.duration)
     write_messages(args.out, messages)
     lsynth.write_truth(args.truth, truth)
@@ -405,17 +398,17 @@ def _load_models(args) -> tuple:
 def cmd_route(args, cfg: PipelineConfig) -> int:
     snapshot = _snapshot_from_json(args.snapshot)
     fill, cleanup = _load_models(args)
-    if args.delta_min is not None and args.delta_max is not None:
-        delta_range = (args.delta_min, args.delta_max)
+    # by default, sweep every admissible distance down to the depth filter's edge
+    if cfg.depth_mode == "bps":
+        mid_ticks = snapshot.mid / snapshot.tick_size
+        bid_ticks = snapshot.best_bid / snapshot.tick_size
+        delta_max = int(bid_ticks - mid_ticks * (1.0 - cfg.depth_value / 1e4))
     else:
-        # sweep every admissible distance down to the depth filter's edge
-        if cfg.depth_mode == "bps":
-            mid_ticks = snapshot.mid / snapshot.tick_size
-            bid_ticks = snapshot.best_bid / snapshot.tick_size
-            delta_max = int(bid_ticks - mid_ticks * (1.0 - cfg.depth_value / 1e4))
-        else:
-            delta_max = int(cfg.depth_value)
-        delta_range = (-snapshot.spread_ticks + 1, max(1, delta_max))
+        delta_max = int(cfg.depth_value)
+    delta_range = (
+        -snapshot.spread_ticks + 1 if args.delta_min is None else args.delta_min,
+        max(1, delta_max) if args.delta_max is None else args.delta_max,
+    )
     decision = optimal_distance(snapshot, args.quantity, _fees(cfg), fill, cleanup, delta_range)
     _write_json(args.out, {k: v for k, v in dataclasses.asdict(decision).items() if k != "curve"})
     if args.curve_out:

@@ -93,8 +93,6 @@ class RollingWindows:
     """Bounded event and trade buffers feeding the differential features."""
 
     def __init__(self, event_window: int = 50, trade_window: int = 50):
-        self.event_window = event_window
-        self.trade_window = trade_window
         self.events: deque[tuple[Side, MessageKind, float]] = deque(maxlen=event_window)
         self.trades: deque[tuple[int, Side, float, int]] = deque(maxlen=trade_window)
         self.trades_seen = 0
@@ -110,35 +108,6 @@ class RollingWindows:
     def note_start(self, ts: int) -> None:
         if self.start_ts is None:
             self.start_ts = ts
-
-    # -- window reductions -------------------------------------------------
-
-    def added_volume(self) -> tuple[float, float]:
-        bid = sum(s for side, kind, s in self.events if kind is MessageKind.ADD and side is Side.BID)
-        ask = sum(s for side, kind, s in self.events if kind is MessageKind.ADD and side is Side.ASK)
-        return bid, ask
-
-    def net_flow(self) -> tuple[float, float]:
-        """Net liquidity change per side: adds positive, removals negative."""
-        bid = ask = 0.0
-        for side, kind, size in self.events:
-            signed = size if kind is MessageKind.ADD else -size
-            if side is Side.BID:
-                bid += signed
-            else:
-                ask += signed
-        return bid, ask
-
-    def traded_volume(self) -> tuple[float, float]:
-        bid = sum(s for _, side, s, _ in self.trades if side is Side.BID)
-        ask = sum(s for _, side, s, _ in self.trades if side is Side.ASK)
-        return bid, ask
-
-    def trade_prices(self) -> list[int]:
-        return [p for _, _, _, p in self.trades]
-
-    def trade_timestamps(self) -> list[int]:
-        return [ts for ts, _, _, _ in self.trades]
 
 
 # ---------------------------------------------------------------------------
@@ -164,19 +133,6 @@ def best_imbalance(q_bid: float, q_ask: float) -> float:
     return (q_bid - q_ask) / total
 
 
-def best_imbalance_after(book_after: BookState) -> float:
-    return best_imbalance(book_after.best_queue_size(Side.BID), book_after.best_queue_size(Side.ASK))
-
-
-def limit_flow_imbalance(windows: RollingWindows) -> float:
-    """Imbalance of added volume over the event window, current order included."""
-    bid, ask = windows.added_volume()
-    total = bid + ask
-    if total <= 0:
-        raise ValueError("window holds no added volume; push the order first")
-    return (bid - ask) / total
-
-
 def aggressiveness_index(delta: float, spread: float) -> float:
     """Spread narrowing of an in-spread order: 0 at the best, 1 at a 1-tick spread."""
     if spread <= 1:
@@ -198,22 +154,6 @@ def realized_volatility(prices: Sequence[float]) -> float:
 # ---------------------------------------------------------------------------
 # Assembly
 # ---------------------------------------------------------------------------
-
-
-def signed_event_flow(windows: RollingWindows) -> tuple[float, float]:
-    """(signed flow, flow imbalance) with the bid-positive convention."""
-    bid, ask = windows.net_flow()
-    signed = bid - ask
-    denom = abs(bid) + abs(ask)
-    return signed, signed / denom if denom > 0 else 0.0
-
-
-def signed_traded_flow(windows: RollingWindows) -> tuple[float, float]:
-    """(signed traded volume, traded imbalance) from the taker's viewpoint."""
-    v_bid, v_ask = windows.traded_volume()
-    signed = v_ask - v_bid
-    total = v_ask + v_bid
-    return signed, signed / total if total > 0 else 0.0
 
 
 def assemble_features(
@@ -243,11 +183,39 @@ def assemble_features(
     if delta < 0 and spread > 1:
         omega = aggressiveness_index(delta, spread)
 
-    signed_flow, flow_imb = signed_event_flow(windows)
-    signed_traded, traded_imb = signed_traded_flow(windows)
+    # One pass per window; each sum runs left to right from zero in window order.
+    add_bid = add_ask = net_bid = net_ask = 0.0
+    for ev_side, kind, s in windows.events:
+        if kind is MessageKind.ADD:
+            if ev_side is Side.BID:
+                add_bid += s
+                net_bid += s
+            else:
+                add_ask += s
+                net_ask += s
+        elif ev_side is Side.BID:
+            net_bid -= s
+        else:
+            net_ask -= s
+    traded_bid = traded_ask = 0.0
+    trade_ts: list[int] = []
+    prices: list[int] = []
+    for t, resting_side, s, p in windows.trades:
+        trade_ts.append(t)
+        prices.append(p)
+        if resting_side is Side.BID:
+            traded_bid += s
+        else:
+            traded_ask += s
 
-    partial = windows.trades_seen < windows.trade_window
-    trade_ts = windows.trade_timestamps()
+    # net liquidity change with the bid-positive convention
+    signed_flow = net_bid - net_ask
+    flow_denom = abs(net_bid) + abs(net_ask)
+    # traded volume from the taker's viewpoint: lifted asks count positive
+    signed_traded = traded_ask - traded_bid
+    traded_total = traded_ask + traded_bid
+
+    partial = windows.trades_seen < windows.trades.maxlen
     if trade_ts:
         time_since_trade = (ts - trade_ts[-1]) / 1e9
     else:
@@ -259,26 +227,30 @@ def assemble_features(
     else:
         median_dur = 0.0
         partial = True
-    prices = windows.trade_prices()
     try:
         vol = 100.0 * realized_volatility(prices)
     except InsufficientTrades:
         vol = 0.0
         partial = True
 
+    best_imb = best_imbalance(book_after.best_queue_size(Side.BID), book_after.best_queue_size(Side.ASK))
+    added = add_bid + add_ask  # the current order included
+    if added <= 0:
+        raise ValueError("window holds no added volume; push the order first")
+
     return FeatureVector(
         delta=float(delta),
         spread=float(spread),
         spread_after=float(spread_after),
-        best_imbalance=best_imbalance_after(book_after),
-        add_imbalance=limit_flow_imbalance(windows),
+        best_imbalance=best_imb,
+        add_imbalance=(add_bid - add_ask) / added,
         aggressiveness=omega,
         prior_volume=book_after.priority_volume(order_id),
         size=float(size),
         signed_flow=signed_flow,
-        flow_imbalance=flow_imb,
+        flow_imbalance=signed_flow / flow_denom if flow_denom > 0 else 0.0,
         signed_traded=signed_traded,
-        traded_imbalance=traded_imb,
+        traded_imbalance=signed_traded / traded_total if traded_total > 0 else 0.0,
         time_since_trade=time_since_trade,
         median_trade_duration=median_dur,
         volatility=vol,

@@ -174,7 +174,7 @@ def build_training_matrix(
     floor: float = 0.01,
 ):
     """(X, y, w, kept_records, ipcw) ready for the classifier."""
-    kept = [r for r in records if not (drop_partial_windows and r.partial_window)]
+    kept = [r for r in records if not (drop_partial_windows and r.features.partial_window)]
     ipcw = ipcw_weights(kept, horizon, censoring, floor=floor)
     return feature_matrix(r.features for r in kept), ipcw.labels, ipcw.weights, kept, ipcw
 

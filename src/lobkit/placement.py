@@ -184,7 +184,7 @@ def optimal_distance(
     fees: FeePolicy,
     fill_model,
     cleanup_model,
-    delta_range: tuple[int, int] | None = None,
+    delta_range: tuple[int, int],
 ) -> PlacementDecision:
     """Exhaustive integer sweep of the saved cost over admissible distances.
 
@@ -197,7 +197,7 @@ def optimal_distance(
     if snapshot.features is None:
         raise ModelUnavailable("snapshot carries no feature state")
     spread = snapshot.spread_ticks
-    lo, hi = delta_range if delta_range is not None else (-spread + 1, max(1, 2 * spread))
+    lo, hi = delta_range
     if lo <= -spread:
         raise InadmissibleDistance(f"range start {lo} is not admissible for spread {spread}")
     deltas = range(lo, hi + 1)

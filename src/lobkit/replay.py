@@ -48,10 +48,6 @@ class OrderLifecycle:
     insert_best_ask: int = 0
     fill_ratio_horizon: float | None = None  # persisted ratio for reloaded records
 
-    @property
-    def partial_window(self) -> bool:
-        return self.features.partial_window
-
     def fill_ratio_within(self, horizon: float) -> float:
         """Fraction of the size executed within ``horizon`` seconds."""
         if not self.executions:

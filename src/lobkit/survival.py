@@ -29,10 +29,6 @@ class EmptyInput(ValueError):
     pass
 
 
-class DegenerateRiskSet(ValueError):
-    pass
-
-
 @dataclass(slots=True)
 class Observation:
     """One possibly-censored duration: ``cause`` 0 censored, 1 execution, 2 cancellation."""

@@ -5,9 +5,9 @@ import pytest
 
 from lobkit.cli import load_config, main, ConfigInvalid
 from lobkit.features import FEATURE_COLUMNS, FeatureVector
-from lobkit.messages import read_messages, write_messages
+from lobkit.messages import Side, read_messages, write_messages
 from lobkit.replay import ReplayDiagnostics
-from lobkit.synth import GroundTruthConfig, generate_flow
+from lobkit.synth import GroundTruthConfig, generate_flow, read_truth
 
 
 def test_config_file_and_overrides(tmp_path):
@@ -222,6 +222,51 @@ def test_unknown_feature_name_rejected_before_any_work(pipeline, tmp_path, capsy
     assert err["error"] == "ConfigInvalid" and "'volatilty'" in err["message"]
     assert "_feature_column" in err["traceback"]  # the JSON error names the raising function
     assert list(tmp_path.iterdir()) == []
+
+
+def _synth(tmp_path, *synth_set):
+    return [
+        "synth", "--seed", "1", "--duration", "5", "--out", str(tmp_path / "m.csv"), "--truth", str(tmp_path / "t.csv"),
+        *(arg for item in synth_set for arg in ("--synth-set", item)),
+    ]
+
+
+@pytest.mark.parametrize(("item", "key"), [
+    ("delta_weights=1", "delta_weights"),  # a tuple-or-None field
+    ("censor_rate", "censor_rate"),  # no '='
+    ("subject_side=buy", "subject_side"),  # not a Side value
+])
+def test_bad_synth_set_names_the_option_and_key(tmp_path, capsys, item, key):
+    err = _fails(_synth(tmp_path, item), capsys)
+    assert err["error"] == "ConfigInvalid"
+    assert "--synth-set" in err["message"] and repr(key) in err["message"]
+
+
+def test_synth_set_parses_enum_and_int_fields(tmp_path):
+    _run(_synth(tmp_path, "subject_side=ask", "start_ts=1700000200000000000"))
+    messages = list(read_messages(tmp_path / "m.csv"))
+    subjects = {row.order_id for row in read_truth(tmp_path / "t.csv")}
+    assert subjects and {m.side for m in messages if m.order_id in subjects} == {Side.ASK}
+    assert messages[0].ts >= 1700000200000000000
+
+
+@pytest.mark.parametrize(("flag", "value"), [("--delta-min", "2"), ("--delta-max", "3")])
+def test_route_takes_either_distance_bound_alone(pipeline, tmp_path, flag, value):
+    """A lone bound replaces its own end of the default sweep; the other end stays."""
+    d = pipeline
+
+    def swept(curve):
+        deltas = [int(row.split(",", 1)[0]) for row in curve.read_text().splitlines()[1:]]
+        return deltas[0], deltas[-1]
+
+    default_lo, default_hi = swept(d / "curve.csv")
+    _run(BASE + [
+        "route", "--snapshot", str(d / "snap.json"), "--fill-model", str(d / "fill.json"),
+        "--cleanup-model", str(d / "cleanup.json"), "--quantity", "1.0",
+        "--out", str(tmp_path / "decision.json"), "--curve-out", str(tmp_path / "curve.csv"), flag, value,
+    ])
+    expected = (int(value), default_hi) if flag == "--delta-min" else (default_lo, int(value))
+    assert swept(tmp_path / "curve.csv") == expected
 
 
 def _route(d, fill, cleanup, out):

@@ -1,19 +1,26 @@
+import csv
 import math
+from functools import reduce
+from operator import add
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lobkit.book import EmptySideError
+from lobkit.book import BookState, EmptySideError
 from lobkit.features import (
     FEATURE_COLUMNS,
     RollingWindows,
     SpreadTooNarrow,
     InsufficientTrades,
     aggressiveness_index,
+    assemble_features,
     best_imbalance,
     distance_at_insertion,
-    limit_flow_imbalance,
     realized_volatility,
 )
+from lobkit.io import write_lifecycles
 from lobkit.messages import InstrumentConfig, Level3Message, MessageKind, Side
 from lobkit.replay import track_lifecycles
 
@@ -46,18 +53,6 @@ def test_best_imbalance_values():
     assert best_imbalance(0.0, 4.0) == -1.0
     with pytest.raises(EmptySideError):
         best_imbalance(0.0, 0.0)
-
-
-def test_limit_flow_imbalance_values():
-    w = RollingWindows(event_window=50)
-    w.push_event(Side.BID, MessageKind.ADD, 5.0)
-    assert limit_flow_imbalance(w) == 1.0
-    w.push_event(Side.ASK, MessageKind.ADD, 5.0)
-    assert limit_flow_imbalance(w) == 0.0
-    w2 = RollingWindows(event_window=50)
-    w2.push_event(Side.BID, MessageKind.ADD, 30.0)
-    w2.push_event(Side.ASK, MessageKind.ADD, 10.0)
-    assert limit_flow_imbalance(w2) == pytest.approx(0.5)
 
 
 def test_aggressiveness_index_endpoints():
@@ -230,3 +225,139 @@ def test_priority_volume_non_increasing_under_executions():
         history.append(book.priority_volume("mine"))
     assert history == [8.0, 6.0, 3.0, 0.0]
     assert all(a >= b for a, b in zip(history, history[1:]))
+
+
+def test_signed_traded_is_a_float_before_any_trade(tmp_path):
+    """An empty trade window gives the float 0.0, written to lifecycles.csv as ``0.0``."""
+    msgs = [m for m in _scripted_stream() if m.kind is MessageKind.ADD]  # no trade at all
+    result = track_lifecycles(msgs, _instrument())
+    assert result.records
+    assert all(type(r.features.signed_traded) is float for r in result.records)
+    path = tmp_path / "lifecycles.csv"
+    write_lifecycles(path, result.records, horizon=1.0)
+    with path.open(newline="") as fh:
+        assert {row["signed_traded"] for row in csv.DictReader(fh)} == {"0.0"}
+
+
+# ---------------------------------------------------------------------------
+# Window features against a recompute over the last m pushes
+# ---------------------------------------------------------------------------
+
+BID, ASK = Side.BID, Side.ASK
+ADD, CANCEL, EXECUTE = MessageKind.ADD, MessageKind.CANCEL, MessageKind.EXECUTE
+WINDOW_FIELDS = (
+    "add_imbalance",
+    "signed_flow",
+    "flow_imbalance",
+    "signed_traded",
+    "traded_imbalance",
+    "time_since_trade",
+    "median_trade_duration",
+    "volatility",
+    "partial_window",
+)
+SIZES = st.floats(min_value=0.01, max_value=50.0)
+EVENTS = st.tuples(st.just("event"), st.sampled_from(Side), st.sampled_from(MessageKind), SIZES)
+# a trade op carries the nanoseconds since the previous push, not a timestamp
+TRADES = st.tuples(st.just("trade"), st.integers(0, 10**9), st.sampled_from(Side), SIZES, st.integers(990, 1010))
+SUBJECT_TS = 10**12
+
+
+def _plain_sum(values) -> float:
+    """Left-to-right accumulation from zero, the order the windows are summed in."""
+    return reduce(add, values, 0.0)
+
+
+def _reference(events, trades, m_events, m_trades, start_ts):
+    """Each window feature recomputed from the last ``m`` pushes (None: no added volume)."""
+    ev, tr = events[-m_events:], trades[-m_trades:]
+    add_bid = _plain_sum(s for side, kind, s in ev if kind is ADD and side is BID)
+    add_ask = _plain_sum(s for side, kind, s in ev if kind is ADD and side is ASK)
+    if add_bid + add_ask <= 0:
+        return None
+    net_bid = _plain_sum(s if kind is ADD else -s for side, kind, s in ev if side is BID)
+    net_ask = _plain_sum(s if kind is ADD else -s for side, kind, s in ev if side is ASK)
+    traded_bid = _plain_sum(s for _, side, s, _ in tr if side is BID)
+    traded_ask = _plain_sum(s for _, side, s, _ in tr if side is ASK)
+    signed_flow = net_bid - net_ask
+    flow_denom = abs(net_bid) + abs(net_ask)
+    signed_traded = traded_ask - traded_bid
+    traded_total = traded_ask + traded_bid
+    stamps = [t for t, _, _, _ in tr]
+    last_ts = stamps[-1] if stamps else (start_ts if start_ts is not None else SUBJECT_TS)
+    return {
+        "add_imbalance": (add_bid - add_ask) / (add_bid + add_ask),
+        "signed_flow": signed_flow,
+        "flow_imbalance": signed_flow / flow_denom if flow_denom > 0 else 0.0,
+        "signed_traded": signed_traded,
+        "traded_imbalance": signed_traded / traded_total if traded_total > 0 else 0.0,
+        "time_since_trade": (SUBJECT_TS - last_ts) / 1e9,
+        "median_trade_duration": float(np.median(np.diff(np.asarray(stamps, dtype=float)) / 1e9))
+        if len(stamps) >= 2
+        else 0.0,
+        "volatility": 100.0 * realized_volatility([p for _, _, _, p in tr]) if len(tr) >= 2 else 0.0,
+        "partial_window": len(trades) < m_trades or len(tr) < 2,
+    }
+
+
+def _quoted_book():
+    """Bid 100 and ask 104 before the subject; the subject bids 101 after."""
+    book = BookState()
+    book.apply(_msg(1, MessageKind.ADD, "b", Side.BID, 100, size=5.0))
+    book.apply(_msg(2, MessageKind.ADD, "a", Side.ASK, 104, size=3.0))
+    book.apply(_msg(3, MessageKind.ADD, "sub", Side.BID, 101, size=2.0))
+    return book
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(
+    ops=st.lists(st.one_of(EVENTS, TRADES), max_size=24),
+    m_events=st.integers(1, 10),
+    m_trades=st.integers(1, 10),
+    started=st.booleans(),
+)
+# the three add-imbalance cases: 1.0, 0.0 and 0.5
+@example(ops=[("event", BID, ADD, 5.0)], m_events=50, m_trades=50, started=True)
+@example(ops=[("event", BID, ADD, 5.0), ("event", ASK, ADD, 5.0)], m_events=50, m_trades=50, started=True)
+@example(ops=[("event", BID, ADD, 30.0), ("event", ASK, ADD, 10.0)], m_events=50, m_trades=50, started=True)
+# both windows evict; exactly a full trade window; a single trade; no added volume
+@example(
+    ops=[("event", BID, ADD, 1.0), ("trade", 5, ASK, 2.0, 1000), ("event", ASK, CANCEL, 1.5),
+         ("trade", 7, BID, 1.0, 998), ("event", BID, EXECUTE, 1.0), ("trade", 3, ASK, 0.5, 1001),
+         ("event", ASK, ADD, 2.5)],
+    m_events=2, m_trades=2, started=True,
+)
+@example(
+    ops=[("event", BID, ADD, 1.0), ("trade", 5, ASK, 2.0, 1000), ("trade", 9, BID, 1.0, 1001)],
+    m_events=2, m_trades=2, started=True,
+)
+@example(ops=[("trade", 5, BID, 1.0, 1000), ("event", ASK, ADD, 2.0)], m_events=3, m_trades=4, started=False)
+@example(ops=[("event", BID, ADD, 1.0), ("event", ASK, CANCEL, 1.0)], m_events=1, m_trades=3, started=True)
+def test_window_features_match_reference(ops, m_events, m_trades, started):
+    windows = RollingWindows(m_events, m_trades)
+    start_ts = 1_000 if started else None
+    if started:
+        windows.note_start(start_ts)
+    events, trades, ts = [], [], start_ts or 0
+    for op in ops:
+        if op[0] == "event":
+            events.append(op[1:])
+            windows.push_event(*op[1:])
+        else:
+            ts += op[1]
+            trades.append((ts, *op[2:]))
+            windows.push_trade(ts, *op[2:])
+    expected = _reference(events, trades, m_events, m_trades, start_ts)
+
+    def assemble():
+        return assemble_features(
+            side=Side.BID, price=101, size=2.0, ts=SUBJECT_TS, best_bid_before=100, best_ask_before=104,
+            book_after=_quoted_book(), order_id="sub", windows=windows,
+        )
+
+    if expected is None:
+        with pytest.raises(ValueError, match="no added volume"):
+            assemble()
+        return
+    got = assemble()
+    assert {name: getattr(got, name) for name in WINDOW_FIELDS} == expected
