@@ -8,9 +8,11 @@ to abort or to skip-and-flag.
 
 from __future__ import annotations
 
-import heapq
+import bisect
+import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .messages import Level3Message, MessageKind, Side
 
@@ -62,14 +64,19 @@ class ApplyEffect:
 
 
 class BookState:
-    """Mutable book: price level -> FIFO queue of [order_id, remaining]."""
+    """Mutable book: price level -> FIFO queue of [order_id, remaining].
+
+    Each side also keeps its occupied prices as an ascending list (its
+    ladder), so the best price is an end of the list and a level's rank is a
+    bisection.
+    """
 
     def __init__(self) -> None:
         self.bids: dict[int, deque[list]] = {}
         self.asks: dict[int, deque[list]] = {}
         self._orders: dict[str, tuple[Side, int]] = {}
-        self._bid_heap: list[int] = []  # negated prices
-        self._ask_heap: list[int] = []
+        self._bid_prices: list[int] = []
+        self._ask_prices: list[int] = []
         self.last_seq: int | None = None
 
     # -- queries ---------------------------------------------------------
@@ -77,21 +84,18 @@ class BookState:
     def _levels(self, side: Side) -> dict[int, deque[list]]:
         return self.bids if side is Side.BID else self.asks
 
+    def _ladder(self, side: Side) -> list[int]:
+        return self._bid_prices if side is Side.BID else self._ask_prices
+
     def best_bid(self) -> int | None:
-        while self._bid_heap:
-            price = -self._bid_heap[0]
-            if price in self.bids:
-                return price
-            heapq.heappop(self._bid_heap)
-        return None
+        return self._bid_prices[-1] if self._bid_prices else None
 
     def best_ask(self) -> int | None:
-        while self._ask_heap:
-            price = self._ask_heap[0]
-            if price in self.asks:
-                return price
-            heapq.heappop(self._ask_heap)
-        return None
+        return self._ask_prices[0] if self._ask_prices else None
+
+    def prices(self, side: Side) -> Iterator[int]:
+        """The side's occupied prices, best first."""
+        return reversed(self._bid_prices) if side is Side.BID else iter(self._ask_prices)
 
     def best_price(self, side: Side) -> int | None:
         return self.best_bid() if side is Side.BID else self.best_ask()
@@ -135,27 +139,26 @@ class BookState:
         raise UnknownOrderId(order_id)
 
     def priority_volume(self, order_id: str) -> float:
-        """Size resting at strictly better prices plus same-price size ahead."""
+        """Size resting at strictly better prices plus same-price size ahead,
+        summed with ``math.fsum`` (correctly rounded, in any order)."""
         side, price, _ = self.order_info(order_id)
-        levels = self._levels(side)
-        better = (
-            (p for p in levels if p > price) if side is Side.BID else (p for p in levels if p < price)
-        )
-        total = sum(self.level_size(side, p) for p in better)
+        levels, ladder = self._levels(side), self._ladder(side)
+        i = bisect.bisect_left(ladder, price)
+        better = ladder[i + 1 :] if side is Side.BID else ladder[:i]
+        ahead = [entry[1] for p in better for entry in levels[p]]
         for entry in levels[price]:
             if entry[0] == order_id:
                 break
-            total += entry[1]
-        return total
+            ahead.append(entry[1])
+        return math.fsum(ahead)
 
     def level_rank(self, side: Side, price: int) -> int:
         """1-based rank of a price among the side's occupied levels, best first."""
-        levels = self._levels(side)
-        if price not in levels:
+        if price not in self._levels(side):
             raise UnknownOrderId(f"no level at {price}")
-        if side is Side.BID:
-            return 1 + sum(1 for p in levels if p > price)
-        return 1 + sum(1 for p in levels if p < price)
+        ladder = self._ladder(side)
+        i = bisect.bisect_left(ladder, price)
+        return len(ladder) - i if side is Side.BID else i + 1
 
     def ahead_in_queue(self, order_id: str) -> list[tuple[str, float]]:
         """FIFO entries ahead of an order at its own price level."""
@@ -198,10 +201,7 @@ class BookState:
         levels = self._levels(msg.side)
         if msg.price not in levels:
             levels[msg.price] = deque()
-            if msg.side is Side.BID:
-                heapq.heappush(self._bid_heap, -msg.price)
-            else:
-                heapq.heappush(self._ask_heap, msg.price)
+            bisect.insort(self._ladder(msg.side), msg.price)
         levels[msg.price].append([msg.order_id, msg.size])
         self._orders[msg.order_id] = (msg.side, msg.price)
         return ApplyEffect(MessageKind.ADD, msg.order_id, msg.side, msg.price, added_size=msg.size)
@@ -227,7 +227,7 @@ class BookState:
                 queue.popleft()
                 del self._orders[head[0]]
         if not queue:
-            self._levels(side).pop(price, None)
+            self._drop_level(side, price)
         # sub-epsilon residue is float noise from telescoping subtractions,
         # not real unfilled size
         unconsumed = remaining if remaining > 1e-9 else 0.0
@@ -240,5 +240,10 @@ class BookState:
                 del queue[i]
                 break
         if not queue:
-            self._levels(side).pop(price, None)
+            self._drop_level(side, price)
         del self._orders[order_id]
+
+    def _drop_level(self, side: Side, price: int) -> None:
+        del self._levels(side)[price]
+        ladder = self._ladder(side)
+        del ladder[bisect.bisect_left(ladder, price)]

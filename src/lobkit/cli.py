@@ -32,7 +32,7 @@ from .backtest import (
     select_eligible,
 )
 from .cleanup import CleanupModel, bucket_estimate, train_cleanup_model
-from .features import FEATURE_COLUMNS, FeatureVector, feature_matrix
+from .features import FEATURE_COLUMNS, feature_matrix
 from .fill_model import (
     FillModel,
     RegimeFillModels,
@@ -47,7 +47,6 @@ from .placement import (
     FEE_TABLE,
     ZERO_FEES,
     FeePolicy,
-    MarketSnapshot,
     decision_map,
     distance_spread_surface,
     fit_toy_model,
@@ -150,8 +149,10 @@ def load_config(path: str | None, overrides: Sequence[str]) -> PipelineConfig:
                 _assign(cfg, line, f"{path}:{line_no}")
     for item in overrides:
         _assign(cfg, item, "--set")
-    if cfg.horizon <= 0:
-        raise ConfigInvalid("horizon must be positive")
+    try:
+        cfg.instrument()
+    except ValueError as exc:
+        raise ConfigInvalid(str(exc)) from exc
     if cfg.fee_level not in FEE_TABLE and cfg.fee_level != 0:
         raise ConfigInvalid(f"fee_level must be 0 (no fees) or 1..9, got {cfg.fee_level}")
     return cfg
@@ -366,18 +367,6 @@ def cmd_train_cleanup(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def _snapshot_from_json(path: str) -> MarketSnapshot:
-    blob = json.loads(_require(path, "snapshot").read_text())
-    feats = blob.get("features")
-    fv = FeatureVector(**feats) if feats else None
-    return MarketSnapshot(
-        best_bid=float(blob["best_bid"]),
-        best_ask=float(blob["best_ask"]),
-        tick_size=float(blob["tick_size"]),
-        features=fv,
-    )
-
-
 def _load_models(args) -> tuple:
     """The ``--fill-model`` and ``--cleanup-model`` files, each checked
     against the kinds its option takes and against the feature columns."""
@@ -396,7 +385,7 @@ def _load_models(args) -> tuple:
 
 
 def cmd_route(args, cfg: PipelineConfig) -> int:
-    snapshot = _snapshot_from_json(args.snapshot)
+    snapshot = lio.read_snapshot(_require(args.snapshot, "snapshot"))
     fill, cleanup = _load_models(args)
     # by default, sweep every admissible distance down to the depth filter's edge
     if cfg.depth_mode == "bps":

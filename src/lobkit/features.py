@@ -8,10 +8,12 @@ realized volatility).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, Sequence
+from statistics import median
+from typing import Iterable
 
 import numpy as np
 
@@ -20,10 +22,6 @@ from .messages import MessageKind, Side
 
 
 class SpreadTooNarrow(ValueError):
-    pass
-
-
-class InsufficientTrades(ValueError):
     pass
 
 
@@ -90,19 +88,55 @@ def feature_matrix(vectors: Iterable[FeatureVector]) -> np.ndarray:
 
 
 class RollingWindows:
-    """Bounded event and trade buffers feeding the differential features."""
+    """The last ``m`` events and the last ``m`` trades, plus each value a
+    window feature sums over, filed under its key as it is pushed.
+
+    ``added[side]`` holds the added sizes of a side, ``signed[side]`` its
+    event sizes signed (add +, cancel/execute -), ``traded[side]`` the sizes
+    traded against a resting side, and ``gaps``/``squared_returns`` the
+    seconds and the squared log return between consecutive window trades.
+    Every key is in push order, so an eviction drops the oldest entry of the
+    evicted item's keys and each key always matches its window.
+    """
 
     def __init__(self, event_window: int = 50, trade_window: int = 50):
         self.events: deque[tuple[Side, MessageKind, float]] = deque(maxlen=event_window)
         self.trades: deque[tuple[int, Side, float, int]] = deque(maxlen=trade_window)
+        self.added: dict[Side, deque[float]] = {Side.BID: deque(), Side.ASK: deque()}
+        self.signed: dict[Side, deque[float]] = {Side.BID: deque(), Side.ASK: deque()}
+        self.traded: dict[Side, deque[float]] = {Side.BID: deque(), Side.ASK: deque()}
+        self.gaps: deque[float] = deque()
+        self.squared_returns: deque[float] = deque()
         self.trades_seen = 0
         self.start_ts: int | None = None
 
     def push_event(self, side: Side, kind: MessageKind, size: float) -> None:
+        if len(self.events) == self.events.maxlen:
+            old_side, old_kind, _ = self.events.popleft()
+            self.signed[old_side].popleft()
+            if old_kind is MessageKind.ADD:
+                self.added[old_side].popleft()
         self.events.append((side, kind, size))
+        if kind is MessageKind.ADD:
+            self.added[side].append(size)
+            self.signed[side].append(size)
+        else:
+            self.signed[side].append(-size)
 
     def push_trade(self, ts: int, resting_side: Side, size: float, price: int) -> None:
+        if len(self.trades) == self.trades.maxlen:
+            self.traded[self.trades.popleft()[1]].popleft()
+            if self.gaps:
+                self.gaps.popleft()
+                self.squared_returns.popleft()
+        if self.trades:
+            last_ts, _, _, last_price = self.trades[-1]
+            # difference of the float timestamps: the median equals np.median(np.diff(stamps))
+            self.gaps.append((float(ts) - float(last_ts)) / 1e9)
+            log_return = math.log(price) - math.log(last_price)
+            self.squared_returns.append(log_return * log_return)
         self.trades.append((ts, resting_side, size, price))
+        self.traded[resting_side].append(size)
         self.trades_seen += 1
 
     def note_start(self, ts: int) -> None:
@@ -142,15 +176,6 @@ def aggressiveness_index(delta: float, spread: float) -> float:
     return delta / (1.0 - spread)
 
 
-def realized_volatility(prices: Sequence[float]) -> float:
-    """Root mean squared log-return of consecutive trade prices, per trade."""
-    if len(prices) < 2:
-        raise InsufficientTrades("need at least two trade prices")
-    arr = np.asarray(prices, dtype=float)
-    rets = np.diff(np.log(arr))
-    return float(np.sqrt(np.mean(rets**2)))
-
-
 # ---------------------------------------------------------------------------
 # Assembly
 # ---------------------------------------------------------------------------
@@ -183,30 +208,10 @@ def assemble_features(
     if delta < 0 and spread > 1:
         omega = aggressiveness_index(delta, spread)
 
-    # One pass per window; each sum runs left to right from zero in window order.
-    add_bid = add_ask = net_bid = net_ask = 0.0
-    for ev_side, kind, s in windows.events:
-        if kind is MessageKind.ADD:
-            if ev_side is Side.BID:
-                add_bid += s
-                net_bid += s
-            else:
-                add_ask += s
-                net_ask += s
-        elif ev_side is Side.BID:
-            net_bid -= s
-        else:
-            net_ask -= s
-    traded_bid = traded_ask = 0.0
-    trade_ts: list[int] = []
-    prices: list[int] = []
-    for t, resting_side, s, p in windows.trades:
-        trade_ts.append(t)
-        prices.append(p)
-        if resting_side is Side.BID:
-            traded_bid += s
-        else:
-            traded_ask += s
+    # every sum is math.fsum: correctly rounded, whatever the order
+    add_bid, add_ask = math.fsum(windows.added[Side.BID]), math.fsum(windows.added[Side.ASK])
+    net_bid, net_ask = math.fsum(windows.signed[Side.BID]), math.fsum(windows.signed[Side.ASK])
+    traded_bid, traded_ask = math.fsum(windows.traded[Side.BID]), math.fsum(windows.traded[Side.ASK])
 
     # net liquidity change with the bid-positive convention
     signed_flow = net_bid - net_ask
@@ -216,21 +221,17 @@ def assemble_features(
     traded_total = traded_ask + traded_bid
 
     partial = windows.trades_seen < windows.trades.maxlen
-    if trade_ts:
-        time_since_trade = (ts - trade_ts[-1]) / 1e9
+    if windows.trades:
+        time_since_trade = (ts - windows.trades[-1][0]) / 1e9
     else:
         time_since_trade = (ts - (windows.start_ts if windows.start_ts is not None else ts)) / 1e9
         partial = True
-    if len(trade_ts) >= 2:
-        durations = np.diff(np.asarray(trade_ts, dtype=float)) / 1e9
-        median_dur = float(np.median(durations))
+    if windows.gaps:
+        median_dur = median(windows.gaps)
+        # root mean squared log return of consecutive trade prices, in percent per trade
+        vol = 100.0 * math.sqrt(math.fsum(windows.squared_returns) / len(windows.squared_returns))
     else:
-        median_dur = 0.0
-        partial = True
-    try:
-        vol = 100.0 * realized_volatility(prices)
-    except InsufficientTrades:
-        vol = 0.0
+        median_dur = vol = 0.0
         partial = True
 
     best_imb = best_imbalance(book_after.best_queue_size(Side.BID), book_after.best_queue_size(Side.ASK))

@@ -19,12 +19,13 @@ from .features import FEATURE_COLUMNS, FeatureVector
 from .fill_model import REGIMES, FillModel, RegimeFillModels
 from .messages import Side
 from .mlp import MLP
+from .placement import MarketSnapshot
 from .replay import OrderLifecycle, Outcome
 from .survival import CAUSE_CANCELLATION, CAUSE_EXECUTION, CIFCurve, SurvivalCurve, gray_variance, log_log_ci
 
 
 class ArtifactInvalid(ValueError):
-    """A model file that is not a JSON envelope, has an unknown kind or lacks a field."""
+    """A JSON artifact that does not parse, lacks a field or holds a wrong one."""
 
 
 #: Lifecycle columns that fill a ``FeatureVector``, in field order; the
@@ -204,8 +205,59 @@ def write_cif_curves(path: str | Path, curves: dict[tuple, CIFCurve], by_names: 
 
 
 # ---------------------------------------------------------------------------
-# Model files
+# JSON artifacts: route snapshots and model files
 # ---------------------------------------------------------------------------
+
+
+def _json_object(path: Path, what: str) -> dict:
+    try:
+        blob = json.loads(path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ArtifactInvalid(f"{path}: not a JSON {what} ({exc})") from exc
+    if not isinstance(blob, dict):
+        raise ArtifactInvalid(f"{path}: not a JSON {what} (top level is not an object)")
+    return blob
+
+
+def read_snapshot(path: str | Path) -> MarketSnapshot:
+    """Read a ``route --snapshot`` file.
+
+    Its fields are ``best_bid``, ``best_ask`` and ``tick_size`` in quote
+    units, and ``features``: null, or an object with a number for each
+    feature column of ``lifecycles.csv`` (``aggressiveness`` may be null) and
+    an optional boolean ``partial_window``.
+    """
+    path = Path(path)
+    blob = _json_object(path, "snapshot")
+
+    def number(obj: dict, name: str, label: str) -> float | None:
+        if name not in obj:
+            raise ArtifactInvalid(f"{path}: required field {label!r} is missing")
+        value = obj[name]
+        if value is None and name == "aggressiveness":
+            return None
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ArtifactInvalid(f"{path}: field {label!r} is {value!r}, not a number")
+        return float(value)
+
+    quote = {name: number(blob, name, name) for name in ("best_bid", "best_ask", "tick_size")}
+    feats = blob.get("features")
+    features = None
+    if feats is not None:
+        if not isinstance(feats, dict):
+            raise ArtifactInvalid(f"{path}: field 'features' is {feats!r}, not an object")
+        unknown = sorted(set(feats) - {*_VECTOR_COLUMNS, "partial_window"})
+        if unknown:
+            raise ArtifactInvalid(f"{path}: field 'features.{unknown[0]}' is not a feature column")
+        partial = feats.get("partial_window", False)
+        if not isinstance(partial, bool):
+            raise ArtifactInvalid(f"{path}: field 'features.partial_window' is {partial!r}, not a boolean")
+        values = [number(feats, name, f"features.{name}") for name in _VECTOR_COLUMNS]
+        features = FeatureVector(*values, partial_window=partial)
+    try:
+        return MarketSnapshot(**quote, features=features)
+    except ValueError as exc:
+        raise ArtifactInvalid(f"{path}: {exc}") from exc
 
 
 def load_model(path: str | Path) -> FillModel | RegimeFillModels | CleanupModel:
@@ -217,12 +269,7 @@ def load_model(path: str | Path) -> FillModel | RegimeFillModels | CleanupModel:
     under ``passive``, ``at_best`` and ``aggressive`` (kind ``fill-per-regime``).
     """
     path = Path(path)
-    try:
-        blob = json.loads(path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ArtifactInvalid(f"{path}: not a JSON model file ({exc})") from exc
-    if not isinstance(blob, dict):
-        raise ArtifactInvalid(f"{path}: not a JSON model file (top level is not an object)")
+    blob = _json_object(path, "model file")
 
     def field(name: str):
         if name not in blob:

@@ -83,6 +83,9 @@ class InstrumentConfig:
             raise ValueError("horizon must be positive")
         if self.depth_mode not in ("bps", "levels"):
             raise ValueError(f"unknown depth_mode {self.depth_mode!r}")
+        for key in ("event_window", "trade_window"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
 
 
 MESSAGE_FIELDS = ("seq", "ts_ns", "kind", "order_id", "side", "price_ticks", "size", "exec_size")

@@ -251,15 +251,12 @@ class _Generator:
 
     def _best_non_wall(self, side: Side) -> int | None:
         """Best resting price on a side ignoring that side's wall."""
+        wall = self.wall_id[side]
         levels = self.book.bids if side is Side.BID else self.book.asks
-        candidates = [
-            p
-            for p, q in levels.items()
-            if any(e[0] != self.wall_id[side] for e in q)
-        ]
-        if not candidates:
-            return None
-        return max(candidates) if side is Side.BID else min(candidates)
+        for price in self.book.prices(side):
+            if any(e[0] != wall for e in levels[price]):
+                return price
+        return None
 
     def _refresh_wall(self, t: float, side: Side) -> None:
         self._emit(t, MessageKind.CANCEL, self.wall_id[side], side, self.wall_price[side])

@@ -2,8 +2,10 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lobkit.book import BookState, CrossedBook, SequenceGap, UnknownOrderId
+from lobkit.book import BookError, BookState, CrossedBook, SequenceGap, UnknownOrderId
 from lobkit.messages import Level3Message, MessageKind, Side
 
 
@@ -101,6 +103,16 @@ def test_priority_volume_better_levels_and_queue():
     assert book.priority_volume("b1") == 0
 
 
+def test_prices_run_best_first():
+    book = BookState()
+    for seq, (side, price) in enumerate([(Side.BID, 98), (Side.ASK, 103), (Side.BID, 100), (Side.ASK, 101)], 1):
+        book.apply(msg(seq, MessageKind.ADD, f"o{seq}", side, price, size=1))
+    book.apply(msg(5, MessageKind.ADD, "o5", Side.BID, 99, size=1))
+    book.apply(msg(6, MessageKind.CANCEL, "o3", Side.BID, 100))
+    assert list(book.prices(Side.BID)) == [99, 98]
+    assert list(book.prices(Side.ASK)) == [101, 103]
+
+
 def _random_stream(seed: int, n: int = 300) -> list[Level3Message]:
     rng = np.random.default_rng(seed)
     book = BookState()
@@ -189,3 +201,123 @@ def test_size_conservation_and_consistency(seed):
     for oid, total in added.items():
         remaining = book.order_info(oid)[2] if book.contains(oid) else 0.0
         assert total == pytest.approx(executed.get(oid, 0.0) + cancelled.get(oid, 0.0) + remaining)
+
+
+# ---------------------------------------------------------------------------
+# The book against a plain list of resting orders
+# ---------------------------------------------------------------------------
+
+
+class ListBook:
+    """Reference book: resting orders as ``[order_id, side, price, remaining]``
+    in arrival order, which is also each level's FIFO order."""
+
+    def __init__(self):
+        self.orders: list[list] = []
+        self.last_seq: int | None = None
+
+    def live(self, order_id):
+        return next((o for o in self.orders if o[0] == order_id), None)
+
+    def prices(self, side):
+        """Occupied prices, best first."""
+        return sorted({o[2] for o in self.orders if o[1] is side}, reverse=side is Side.BID)
+
+    def better(self, side, a, b):
+        return a > b if side is Side.BID else a < b
+
+    def level_size(self, side, price):
+        return sum(o[3] for o in self.orders if o[1] is side and o[2] == price)
+
+    def priority_volume(self, order):
+        _, side, price, _ = order
+        ahead = self.orders[: self.orders.index(order)]
+        return sum(o[3] for o in self.orders if o[1] is side and self.better(side, o[2], price)) + sum(
+            o[3] for o in ahead if o[1] is side and o[2] == price
+        )
+
+    def apply(self, m, allow_gap):
+        """(rejection type or None, fills as tuples, unconsumed size)."""
+        if self.last_seq is not None and m.seq != self.last_seq + 1 and not allow_gap:
+            return SequenceGap, [], 0.0
+        fills, unconsumed = [], 0.0
+        if m.kind is MessageKind.ADD:
+            if self.live(m.order_id) is not None:
+                return BookError, [], 0.0
+            opposite = self.prices(m.side.opposite)
+            if opposite and not self.better(m.side, opposite[0], m.price):
+                return CrossedBook, [], 0.0
+            self.orders.append([m.order_id, m.side, m.price, m.size])
+        else:
+            order = self.live(m.order_id)
+            if order is None:
+                return UnknownOrderId, [], 0.0
+            if m.kind is MessageKind.CANCEL:
+                self.orders.remove(order)
+            else:
+                _, side, price, _ = order
+                remaining = m.exec_size
+                for head in [o for o in self.orders if o[1] is side and o[2] == price]:
+                    if remaining <= 0:
+                        break
+                    take = min(head[3], remaining)
+                    head[3] -= take
+                    remaining -= take
+                    fills.append((head[0], take, price, side, head[3] == 0))
+                    if head[3] == 0:
+                        self.orders.remove(head)
+                unconsumed = remaining
+        self.last_seq = m.seq
+        return None, fills, unconsumed
+
+
+QUARTERS = st.integers(1, 16).map(lambda q: q * 0.25)  # every sum of these is exact
+ORDER_IDS = st.integers(0, 9).map(lambda k: f"o{k}")  # a small pool: duplicates and unknown ids
+BOOK_OPS = st.lists(
+    st.tuples(
+        st.one_of(
+            st.tuples(st.just(MessageKind.ADD), ORDER_IDS, st.sampled_from(Side), st.integers(96, 104), QUARTERS),
+            st.tuples(st.just(MessageKind.CANCEL), ORDER_IDS),
+            st.tuples(st.just(MessageKind.EXECUTE), ORDER_IDS, st.integers(1, 48).map(lambda q: q * 0.25)),
+        ),
+        st.booleans(),  # skip a sequence number
+        st.booleans(),  # allow a gap
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(ops=BOOK_OPS)
+def test_book_matches_list_reference(ops):
+    book, ref = BookState(), ListBook()
+    for (kind, order_id, *rest), skip, allow_gap in ops:
+        seq = (ref.last_seq or 0) + (2 if skip else 1)
+        if kind is MessageKind.ADD:
+            side, price, size = rest
+            m = msg(seq, kind, order_id, side, price, size=size)
+        else:
+            known = ref.live(order_id)
+            side, price = (known[1], known[2]) if known else (Side.BID, 100)
+            m = msg(seq, kind, order_id, side, price, exec_size=rest[0] if rest else 0.0)
+        rejection, fills, unconsumed = ref.apply(m, allow_gap)
+        if rejection is not None:
+            with pytest.raises(BookError) as info:
+                book.apply(m, allow_gap=allow_gap)
+            assert type(info.value) is rejection
+        else:
+            effect = book.apply(m, allow_gap=allow_gap)
+            assert [(f.order_id, f.size, f.price, f.side, f.exhausted) for f in effect.fills] == fills
+            assert effect.unconsumed == unconsumed
+        assert book.last_seq == ref.last_seq
+        assert (book.best_bid(), book.best_ask()) == tuple(
+            (ref.prices(s) or [None])[0] for s in (Side.BID, Side.ASK)
+        )
+        for side in Side:
+            prices = ref.prices(side)
+            assert sorted(book.bids if side is Side.BID else book.asks, reverse=side is Side.BID) == prices
+            assert [book.level_size(side, p) for p in prices] == [ref.level_size(side, p) for p in prices]
+            assert [book.level_rank(side, p) for p in prices] == list(range(1, len(prices) + 1))
+        for order in ref.orders:
+            assert book.order_info(order[0]) == (order[1], order[2], order[3])
+            assert book.priority_volume(order[0]) == ref.priority_volume(order)

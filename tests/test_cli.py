@@ -269,9 +269,9 @@ def test_route_takes_either_distance_bound_alone(pipeline, tmp_path, flag, value
     assert swept(tmp_path / "curve.csv") == expected
 
 
-def _route(d, fill, cleanup, out):
+def _route(d, fill, cleanup, out, snapshot=None):
     return BASE + [
-        "route", "--snapshot", str(d / "snap.json"), "--fill-model", str(fill),
+        "route", "--snapshot", str(snapshot or d / "snap.json"), "--fill-model", str(fill),
         "--cleanup-model", str(cleanup), "--quantity", "1.0", "--out", str(out),
     ]
 
@@ -342,5 +342,58 @@ def _no_horizon(d, tmp_path):
 def test_wrong_or_malformed_fill_model_is_rejected(pipeline, tmp_path, capsys, consumer, bad_fill):
     path, field = bad_fill(pipeline, tmp_path)
     err = _fails(consumer(pipeline, path, pipeline / "cleanup.json", tmp_path / "out.json"), capsys)
+    assert err["error"] == "ArtifactInvalid"
+    assert str(path) in err["message"] and field in err["message"]
+
+
+@pytest.mark.parametrize("source", ["--set", "--config"])
+@pytest.mark.parametrize("item", ["event_window=0", "trade_window=-1", "trade_window=0"])
+def test_window_below_one_is_rejected(tmp_path, capsys, source, item):
+    """trade_window=0 would run, but flag every row partial and leave the training matrix empty."""
+    if source == "--set":
+        args = ["--set", item]
+    else:
+        (tmp_path / "run.cfg").write_text(item.replace("=", " = ") + "\n")
+        args = ["--config", str(tmp_path / "run.cfg")]
+    err = _fails(args + _synth(tmp_path), capsys)
+    key, value = item.split("=")
+    assert err["error"] == "ConfigInvalid"
+    assert f"{key} must be at least 1, got {value}" in err["message"]
+    assert not (tmp_path / "m.csv").exists()
+
+
+def _no_volatility(blob):
+    del blob["features"]["volatility"]
+    return "'features.volatility'"
+
+
+def _no_best_bid(blob):
+    del blob["best_bid"]
+    return "'best_bid'"
+
+
+def _misspelled(blob):
+    blob["features"]["volatilty"] = blob["features"].pop("volatility")
+    return "'features.volatilty'"
+
+
+def _non_numeric(blob):
+    blob["features"]["spread"] = "4"
+    return "'features.spread'"
+
+
+def _features_not_an_object(blob):
+    blob["features"] = list(blob["features"].values())
+    return "'features'"
+
+
+@pytest.mark.parametrize("edit", [_no_volatility, _no_best_bid, _misspelled, _non_numeric, _features_not_an_object])
+def test_malformed_snapshot_names_the_file_and_field(pipeline, tmp_path, capsys, edit):
+    blob = json.loads((pipeline / "snap.json").read_text())
+    field = edit(blob)
+    path = tmp_path / "snap.json"
+    path.write_text(json.dumps(blob))
+    d = pipeline
+    err = _fails(_route(d, d / "fill.json", d / "cleanup.json", tmp_path / "out.json", snapshot=path), capsys)
     assert err["error"] == "ArtifactInvalid"
     assert str(path) in err["message"] and field in err["message"]

@@ -1,7 +1,6 @@
 import csv
 import math
-from functools import reduce
-from operator import add
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -13,12 +12,10 @@ from lobkit.features import (
     FEATURE_COLUMNS,
     RollingWindows,
     SpreadTooNarrow,
-    InsufficientTrades,
     aggressiveness_index,
     assemble_features,
     best_imbalance,
     distance_at_insertion,
-    realized_volatility,
 )
 from lobkit.io import write_lifecycles
 from lobkit.messages import InstrumentConfig, Level3Message, MessageKind, Side
@@ -71,19 +68,6 @@ def test_aggressiveness_two_forms_agree_exactly():
             direct = aggressiveness_index(delta, spread)
             alternate = (spread - spread_after) / (spread - 1)
             assert direct == alternate
-
-
-def test_realized_volatility_closed_forms():
-    assert realized_volatility([100.0, 100.0, 100.0]) == 0.0
-    r = 0.02
-    prices = [100.0, 100.0 * (1 + r)] * 6
-    assert realized_volatility(prices) == pytest.approx(abs(math.log(1 + r)))
-    a, b, c = 0.01, -0.02, 0.003
-    p0 = 50.0
-    prices = [p0, p0 * math.exp(a), p0 * math.exp(a + b), p0 * math.exp(a + b + c)]
-    assert realized_volatility(prices) == pytest.approx(math.sqrt((a * a + b * b + c * c) / 3))
-    with pytest.raises(InsufficientTrades):
-        realized_volatility([100.0])
 
 
 # ---------------------------------------------------------------------------
@@ -263,27 +247,23 @@ TRADES = st.tuples(st.just("trade"), st.integers(0, 10**9), st.sampled_from(Side
 SUBJECT_TS = 10**12
 
 
-def _plain_sum(values) -> float:
-    """Left-to-right accumulation from zero, the order the windows are summed in."""
-    return reduce(add, values, 0.0)
-
-
 def _reference(events, trades, m_events, m_trades, start_ts):
     """Each window feature recomputed from the last ``m`` pushes (None: no added volume)."""
     ev, tr = events[-m_events:], trades[-m_trades:]
-    add_bid = _plain_sum(s for side, kind, s in ev if kind is ADD and side is BID)
-    add_ask = _plain_sum(s for side, kind, s in ev if kind is ADD and side is ASK)
+    add_bid = math.fsum(s for side, kind, s in ev if kind is ADD and side is BID)
+    add_ask = math.fsum(s for side, kind, s in ev if kind is ADD and side is ASK)
     if add_bid + add_ask <= 0:
         return None
-    net_bid = _plain_sum(s if kind is ADD else -s for side, kind, s in ev if side is BID)
-    net_ask = _plain_sum(s if kind is ADD else -s for side, kind, s in ev if side is ASK)
-    traded_bid = _plain_sum(s for _, side, s, _ in tr if side is BID)
-    traded_ask = _plain_sum(s for _, side, s, _ in tr if side is ASK)
+    net_bid = math.fsum(s if kind is ADD else -s for side, kind, s in ev if side is BID)
+    net_ask = math.fsum(s if kind is ADD else -s for side, kind, s in ev if side is ASK)
+    traded_bid = math.fsum(s for _, side, s, _ in tr if side is BID)
+    traded_ask = math.fsum(s for _, side, s, _ in tr if side is ASK)
     signed_flow = net_bid - net_ask
     flow_denom = abs(net_bid) + abs(net_ask)
     signed_traded = traded_ask - traded_bid
     traded_total = traded_ask + traded_bid
     stamps = [t for t, _, _, _ in tr]
+    returns = [math.log(b) - math.log(a) for a, b in pairwise(p for _, _, _, p in tr)]
     last_ts = stamps[-1] if stamps else (start_ts if start_ts is not None else SUBJECT_TS)
     return {
         "add_imbalance": (add_bid - add_ask) / (add_bid + add_ask),
@@ -295,7 +275,7 @@ def _reference(events, trades, m_events, m_trades, start_ts):
         "median_trade_duration": float(np.median(np.diff(np.asarray(stamps, dtype=float)) / 1e9))
         if len(stamps) >= 2
         else 0.0,
-        "volatility": 100.0 * realized_volatility([p for _, _, _, p in tr]) if len(tr) >= 2 else 0.0,
+        "volatility": 100.0 * math.sqrt(math.fsum(r * r for r in returns) / len(returns)) if returns else 0.0,
         "partial_window": len(trades) < m_trades or len(tr) < 2,
     }
 
@@ -333,6 +313,22 @@ def _quoted_book():
 )
 @example(ops=[("trade", 5, BID, 1.0, 1000), ("event", ASK, ADD, 2.0)], m_events=3, m_trades=4, started=False)
 @example(ops=[("event", BID, ADD, 1.0), ("event", ASK, CANCEL, 1.0)], m_events=1, m_trades=3, started=True)
+# a window of one trade: each push evicts the trade before it, and with it the only gap
+@example(
+    ops=[("event", BID, ADD, 1.0), ("trade", 5, ASK, 2.0, 1000), ("trade", 9, BID, 1.0, 1003),
+         ("trade", 4, BID, 3.0, 997)],
+    m_events=1, m_trades=1, started=True,
+)
+# long enough to evict from every key: added, signed and traded on both sides, gaps and returns
+@example(
+    ops=[("event", BID, ADD, 1.0), ("event", ASK, ADD, 2.0), ("event", BID, CANCEL, 0.5),
+         ("event", ASK, EXECUTE, 1.5), ("trade", 5, ASK, 2.0, 1000), ("trade", 9, BID, 1.0, 1003),
+         ("trade", 4, ASK, 0.25, 998), ("trade", 6, BID, 3.0, 997), ("event", BID, ADD, 4.0),
+         ("event", ASK, ADD, 3.0), ("event", BID, EXECUTE, 2.0), ("event", ASK, CANCEL, 1.0),
+         ("event", BID, ADD, 0.75), ("trade", 2, ASK, 1.25, 1001), ("trade", 7, BID, 0.5, 1002),
+         ("trade", 3, ASK, 2.5, 999)],
+    m_events=3, m_trades=3, started=True,
+)
 def test_window_features_match_reference(ops, m_events, m_trades, started):
     windows = RollingWindows(m_events, m_trades)
     start_ts = 1_000 if started else None
@@ -349,15 +345,41 @@ def test_window_features_match_reference(ops, m_events, m_trades, started):
             windows.push_trade(ts, *op[2:])
     expected = _reference(events, trades, m_events, m_trades, start_ts)
 
-    def assemble():
-        return assemble_features(
-            side=Side.BID, price=101, size=2.0, ts=SUBJECT_TS, best_bid_before=100, best_ask_before=104,
-            book_after=_quoted_book(), order_id="sub", windows=windows,
-        )
-
     if expected is None:
         with pytest.raises(ValueError, match="no added volume"):
-            assemble()
+            _assemble(windows)
         return
-    got = assemble()
+    got = _assemble(windows)
     assert {name: getattr(got, name) for name in WINDOW_FIELDS} == expected
+
+
+def _assemble(windows: RollingWindows):
+    """The subject bid of ``_quoted_book`` assembled on ``windows``."""
+    return assemble_features(
+        side=Side.BID, price=101, size=2.0, ts=SUBJECT_TS, best_bid_before=100, best_ask_before=104,
+        book_after=_quoted_book(), order_id="sub", windows=windows,
+    )
+
+
+def _window_volatility(prices):
+    """(volatility, partial_window) of a subject after one trade at each price."""
+    windows = RollingWindows(1, len(prices))
+    windows.push_event(BID, ADD, 2.0)
+    for i, price in enumerate(prices):
+        windows.push_trade(1_000 + i, ASK, 1.0, price)
+    got = _assemble(windows)
+    return got.volatility, got.partial_window
+
+
+def test_realized_volatility_closed_forms():
+    """Root mean squared log return of consecutive trade prices, in percent per trade."""
+    assert _window_volatility([100.0, 100.0, 100.0]) == (0.0, False)
+    r = 0.02
+    prices = [100.0, 100.0 * (1 + r)] * 6
+    assert _window_volatility(prices)[0] == pytest.approx(100.0 * abs(math.log(1 + r)))
+    a, b, c = 0.01, -0.02, 0.003
+    p0 = 50.0
+    prices = [p0, p0 * math.exp(a), p0 * math.exp(a + b), p0 * math.exp(a + b + c)]
+    assert _window_volatility(prices)[0] == pytest.approx(100.0 * math.sqrt((a * a + b * b + c * c) / 3))
+    # one trade has no return: zero, and the row is flagged
+    assert _window_volatility([100.0]) == (0.0, True)
