@@ -64,6 +64,7 @@ from .survival import (
     post_and_wait_fill,
     quantile_edges,
 )
+from .table import ArtifactInvalid, write_table
 
 
 class ConfigInvalid(ValueError):
@@ -235,7 +236,7 @@ def cmd_replay(args, cfg: PipelineConfig) -> int:
     lio.write_lifecycles(args.out, result.records, cfg.horizon)
     if args.fill_ratio_out:
         xs, vals = fill_ratio_icdf(result.records, cfg.horizon).support()
-        lio.write_table(args.fill_ratio_out, ("ratio", "prob_exceed"), zip(xs, vals))
+        write_table(args.fill_ratio_out, ("ratio", "prob_exceed"), zip(xs, vals))
     d = result.diagnostics
     _write_json(
         args.diagnostics_out,
@@ -346,7 +347,7 @@ def cmd_train_cleanup(args, cfg: PipelineConfig) -> int:
         values = Xc[:, bucket_col]
         edges = quantile_edges(values, 6)
         curve = bucket_estimate(values, targets, edges, min_count=max(10, cfg.min_bucket_count // 10))
-        lio.write_table(
+        write_table(
             args.bucket_curve_out,
             (args.bucket_feature + "_lo", args.bucket_feature + "_hi", "mid", "mean_ticks", "std_error", "count"),
             (
@@ -375,11 +376,11 @@ def _load_models(args) -> tuple:
         path = getattr(args, f"{slot}_model")
         model = lio.load_model(_require(path, f"{slot} model"))
         if model.kind not in kinds:
-            raise lio.ArtifactInvalid(
+            raise ArtifactInvalid(
                 f"{path}: field 'kind' is {model.kind!r}, but --{slot}-model takes {' or '.join(kinds)}"
             )
         if model.columns != FEATURE_COLUMNS:
-            raise lio.ArtifactInvalid(f"{path}: field 'columns' is {list(model.columns)}, not {list(FEATURE_COLUMNS)}")
+            raise ArtifactInvalid(f"{path}: field 'columns' is {list(model.columns)}, not {list(FEATURE_COLUMNS)}")
         models.append(model)
     return tuple(models)
 
@@ -402,15 +403,15 @@ def cmd_route(args, cfg: PipelineConfig) -> int:
     _write_json(args.out, {k: v for k, v in dataclasses.asdict(decision).items() if k != "curve"})
     if args.curve_out:
         header = ("delta", "fill_probability", "cleanup_ticks", "saved_cost")
-        lio.write_table(args.curve_out, header, ([row[k] for k in header] for row in decision.curve))
+        write_table(args.curve_out, header, ([row[k] for k in header] for row in decision.curve))
     if args.decision_map_out:
         cells = decision_map(snapshot, args.map_cleanup_ticks, np.linspace(0.0, 1.0, 101))
         header = ("level", "fill_probability", "saved_cost", "action", "break_even")
-        lio.write_table(args.decision_map_out, header, ([cell[k] for k in header] for cell in cells))
+        write_table(args.decision_map_out, header, ([cell[k] for k in header] for cell in cells))
     if args.surface_out:
         spreads = range(args.surface_spread_min, args.surface_spread_max + 1)
         rows = distance_spread_surface(snapshot, args.quantity, _fees(cfg), fill, cleanup, spreads)
-        lio.write_table(
+        write_table(
             args.surface_out,
             ("spread", "delta", "saved_cost", "fill_probability", "cleanup_ticks", "is_optimum"),
             (
@@ -432,8 +433,7 @@ def cmd_backtest(args, cfg: PipelineConfig) -> int:
     ask_distance = Xtr[:, delta_idx] + Xtr[:, spread_idx]
     obs_by_bucket: dict[int, list[Observation]] = {}
     for d, m in zip(ask_distance, meta_tr):
-        cause = {"filled": 1, "cancelled": 2, "censored": 0}[m["outcome"]]
-        obs_by_bucket.setdefault(int(round(d)), []).append(Observation(m["outcome_time"], cause))
+        obs_by_bucket.setdefault(int(round(d)), []).append(Observation(m["outcome_time"], int(m["outcome"])))
     distances, probs = [], []
     for d in sorted(obs_by_bucket):
         bucket = obs_by_bucket[d]
@@ -493,7 +493,7 @@ def cmd_backtest(args, cfg: PipelineConfig) -> int:
     }
     _write_json(args.out, payload)
     if args.decisions_out:
-        lio.write_table(
+        write_table(
             args.decisions_out,
             ("label", "decision_I", "decision_II", "decision_III"),
             zip(report.labels, report.decisions["I"], report.decisions["II"], report.decisions["III"]),

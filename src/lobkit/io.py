@@ -1,31 +1,27 @@
-"""Artifacts exchanged between the pipeline stages: CSV tables and model files.
-
-Floats are written with ``repr`` so identical runs produce byte-identical
-files and values round-trip exactly.
+"""Artifacts exchanged between the pipeline stages: the lifecycle and
+feature-matrix tables (schemas and row functions over :mod:`lobkit.table`),
+survival curve tables, route snapshots and model files.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .cleanup import CleanupModel
 from .features import FEATURE_COLUMNS, FeatureVector
 from .fill_model import REGIMES, FillModel, RegimeFillModels
-from .messages import Side
+from .messages import SIDE
 from .mlp import MLP
 from .placement import MarketSnapshot
 from .replay import OrderLifecycle, Outcome
 from .survival import CAUSE_CANCELLATION, CAUSE_EXECUTION, CIFCurve, SurvivalCurve, gray_variance, log_log_ci
-
-
-class ArtifactInvalid(ValueError):
-    """A JSON artifact that does not parse, lacks a field or holds a wrong one."""
+from .table import FLAG, INTEGER, NUMBER, TEXT, ArtifactInvalid, choice, optional_number, read_table, write_table
 
 
 #: Lifecycle columns that fill a ``FeatureVector``, in field order; the
@@ -33,102 +29,66 @@ class ArtifactInvalid(ValueError):
 _VECTOR_COLUMNS = tuple(f.name for f in dataclasses.fields(FeatureVector) if f.name != "partial_window")
 #: Feature fields written to columns of their own.
 _FEATURE_FIELDS = tuple(name for name in _VECTOR_COLUMNS if name != "size")
+_SIZE_AT = _VECTOR_COLUMNS.index("size")
 
-LIFECYCLE_FIELDS = (
-    "order_id",
-    "side",
-    "insert_ts_ns",
-    "price_ticks",
-    "size",
-    "outcome",
-    "outcome_time_s",
-    "fill_ratio",
-    "fill_ratio_horizon",
-    "dp_ask_horizon",
-    "partial_window",
-    "insert_best_ask",
-) + _FEATURE_FIELDS
+_OUTCOME = choice({o.name.lower(): o for o in Outcome})
 
-
-def _cell(x) -> str:
-    """``None`` as an empty cell, floats (numpy's too) as ``repr`` of the Python float."""
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(float(x))
-    return str(x)
-
-
-def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """The CSV writer behind every tabular artifact."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([_cell(x) for x in row] for row in rows)
+LIFECYCLE_FIELDS = {
+    "order_id": TEXT,
+    "side": SIDE,
+    "insert_ts_ns": INTEGER,
+    "price_ticks": INTEGER,
+    "size": NUMBER,
+    "outcome": _OUTCOME,
+    "outcome_time_s": NUMBER,
+    "fill_ratio": NUMBER,
+    "fill_ratio_horizon": optional_number(),
+    "dp_ask_horizon": optional_number(),
+    "partial_window": FLAG,
+    "insert_best_ask": INTEGER,
+    **{name: optional_number() if name == "aggressiveness" else NUMBER for name in _FEATURE_FIELDS},
+}
+_FEATURES = attrgetter(*_FEATURE_FIELDS)
 
 
 def write_lifecycles(path: str | Path, records: Sequence[OrderLifecycle], horizon: float) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LIFECYCLE_FIELDS)
-        for r in records:
-            f = r.features
-            writer.writerow(
-                [
-                    r.order_id,
-                    r.side.value,
-                    r.insert_ts,
-                    r.price,
-                    repr(float(r.size)),
-                    r.outcome.name.lower(),
-                    repr(float(r.outcome_time)),
-                    repr(float(r.fill_ratio)),
-                    repr(float(r.fill_ratio_within(horizon))),
-                    _cell(r.dp_ask_horizon),
-                    int(f.partial_window),
-                    r.insert_best_ask,
-                ]
-                + [_cell(getattr(f, name)) for name in _FEATURE_FIELDS]
-            )
+    def row(r: OrderLifecycle) -> tuple:
+        f = r.features
+        return (
+            r.order_id, r.side, r.insert_ts, r.price, r.size, r.outcome, r.outcome_time, r.fill_ratio,
+            r.fill_ratio_within(horizon), r.dp_ask_horizon, f.partial_window, r.insert_best_ask, *_FEATURES(f),
+        )
+
+    write_table(path, LIFECYCLE_FIELDS, map(row, records))
 
 
 def read_lifecycles(path: str | Path) -> list[OrderLifecycle]:
-    records: list[OrderLifecycle] = []
-    with Path(path).open(newline="") as fh:
-        for rec in csv.DictReader(fh):
-            features = FeatureVector(  # only aggressiveness may be empty
-                *[float(rec[n]) if n != "aggressiveness" or rec[n] else None for n in _VECTOR_COLUMNS],
-                partial_window=bool(int(rec["partial_window"])),
+    records = []
+    for (
+        order_id, side, insert_ts, price, size, outcome, outcome_time, fill_ratio, fill_ratio_horizon, dp_ask_horizon,
+        partial_window, insert_best_ask, *features,
+    ) in read_table(path, LIFECYCLE_FIELDS):
+        vector = FeatureVector(*features[:_SIZE_AT], size, *features[_SIZE_AT:], partial_window=partial_window)
+        records.append(
+            OrderLifecycle(
+                order_id, side, insert_ts, price, size, vector, outcome, outcome_time, fill_ratio,
+                dp_ask_horizon=dp_ask_horizon, insert_best_ask=insert_best_ask, fill_ratio_horizon=fill_ratio_horizon
             )
-            records.append(
-                OrderLifecycle(
-                    order_id=rec["order_id"],
-                    side=Side(rec["side"]),
-                    insert_ts=int(rec["insert_ts_ns"]),
-                    price=int(rec["price_ticks"]),
-                    size=float(rec["size"]),
-                    features=features,
-                    outcome=Outcome[rec["outcome"].upper()],
-                    outcome_time=float(rec["outcome_time_s"]),
-                    fill_ratio=float(rec["fill_ratio"]),
-                    fill_ratio_horizon=float(rec["fill_ratio_horizon"]) if rec["fill_ratio_horizon"] else None,
-                    dp_ask_horizon=float(rec["dp_ask_horizon"]) if rec["dp_ask_horizon"] else None,
-                    insert_best_ask=int(rec["insert_best_ask"]),
-                )
-            )
+        )
     return records
 
 
-MATRIX_FIELDS = (
-    "order_id",
-    "insert_ts_ns",
-    "outcome",
-    "outcome_time_s",
-    "label",
-    "weight",
-    "dp_ask_horizon",
-    "partial_window",
-) + FEATURE_COLUMNS
+MATRIX_FIELDS = {
+    "order_id": TEXT,
+    "insert_ts_ns": INTEGER,
+    "outcome": _OUTCOME,
+    "outcome_time_s": NUMBER,
+    "label": NUMBER,
+    "weight": NUMBER,
+    "dp_ask_horizon": optional_number(),
+    "partial_window": FLAG,
+    **dict.fromkeys(FEATURE_COLUMNS, NUMBER),
+}
 
 
 def write_matrix(
@@ -138,47 +98,27 @@ def write_matrix(
     weights: np.ndarray,
 ) -> None:
     """Feature matrix export: one row per lifecycle with label and weight."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MATRIX_FIELDS)
-        for r, y, w in zip(records, labels, weights):
-            row = [
-                r.order_id,
-                r.insert_ts,
-                r.outcome.name.lower(),
-                repr(float(r.outcome_time)),
-                repr(float(y)),
-                repr(float(w)),
-                _cell(r.dp_ask_horizon),
-                int(r.features.partial_window),
-            ]
-            row.extend(repr(float(v)) for v in r.features.to_row())
-            writer.writerow(row)
+    rows = (
+        (r.order_id, r.insert_ts, r.outcome, r.outcome_time, y, w, r.dp_ask_horizon, r.features.partial_window)
+        + tuple(r.features.to_row().tolist())
+        for r, y, w in zip(records, labels, weights)
+    )
+    write_table(path, MATRIX_FIELDS, rows)
 
 
 def read_matrix(path: str | Path):
     """(X, y, w, meta) from a feature matrix CSV; meta is a list of dicts."""
-    rows_x: list[list[float]] = []
-    ys: list[float] = []
-    ws: list[float] = []
-    meta: list[dict] = []
-    with Path(path).open(newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows_x.append([float(rec[c]) for c in FEATURE_COLUMNS])
-            ys.append(float(rec["label"]))
-            ws.append(float(rec["weight"]))
-            meta.append(
-                {
-                    "order_id": rec["order_id"],
-                    "insert_ts": int(rec["insert_ts_ns"]),
-                    "outcome": rec["outcome"],
-                    "outcome_time": float(rec["outcome_time_s"]),
-                    "dp_ask_horizon": float(rec["dp_ask_horizon"]) if rec["dp_ask_horizon"] else None,
-                    "partial_window": bool(int(rec["partial_window"])),
-                }
-            )
-    X = np.asarray(rows_x, dtype=float) if rows_x else np.zeros((0, len(FEATURE_COLUMNS)))
-    return X, np.asarray(ys), np.asarray(ws), meta
+    X, y, w, meta = [], [], [], []
+    rows = read_table(path, MATRIX_FIELDS)
+    for order_id, insert_ts, outcome, outcome_time, label, weight, dp_ask_horizon, partial, *features in rows:
+        X.append(features)
+        y.append(label)
+        w.append(weight)
+        meta.append(
+            dict(order_id=order_id, insert_ts=insert_ts, outcome=outcome, outcome_time=outcome_time,
+                 dp_ask_horizon=dp_ask_horizon, partial_window=partial)
+        )
+    return np.array(X, dtype=float).reshape(-1, len(FEATURE_COLUMNS)), np.asarray(y), np.asarray(w), meta
 
 
 def write_survival_curve(path: str | Path, curve: SurvivalCurve) -> None:

@@ -8,12 +8,13 @@ price-level arithmetic stays exact.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator
+
+from .table import INTEGER, NUMBER, TEXT, ArtifactInvalid, choice, optional_number, parse_row, read_table, write_table
 
 
 class Side(Enum):
@@ -88,63 +89,55 @@ class InstrumentConfig:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
 
 
-MESSAGE_FIELDS = ("seq", "ts_ns", "kind", "order_id", "side", "price_ticks", "size", "exec_size")
+SIDE = choice({s.value: s for s in Side})
+#: The message log's columns; NDJSON records hold the same fields, read by the same parsers.
+MESSAGE_FIELDS = {
+    "seq": INTEGER,
+    "ts_ns": INTEGER,
+    "kind": choice({k.value: k for k in MessageKind}),
+    "order_id": TEXT,
+    "side": SIDE,
+    "price_ticks": INTEGER,
+    "size": NUMBER,
+    "exec_size": optional_number(empty=0.0),  # written only for executes
+}
+
+
+def _message_row(m: Level3Message) -> tuple:
+    return (
+        m.seq, m.ts, m.kind, m.order_id, m.side, m.price, m.size, m.exec_size if m.kind is MessageKind.EXECUTE else None
+    )
 
 
 def write_messages(path: str | Path, messages: Iterable[Level3Message]) -> None:
     """Write a stream to CSV or newline-delimited JSON (by extension)."""
     path = Path(path)
-    if path.suffix == ".ndjson":
-        with path.open("w") as fh:
-            for m in messages:
-                fh.write(json.dumps(_to_record(m), sort_keys=True))
-                fh.write("\n")
+    if path.suffix != ".ndjson":
+        write_table(path, MESSAGE_FIELDS, map(_message_row, messages))
         return
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MESSAGE_FIELDS)
+    with path.open("w") as fh:
         for m in messages:
-            rec = _to_record(m)
-            writer.writerow([rec[k] for k in MESSAGE_FIELDS])
+            record = {name: kind.format(x) for (name, kind), x in zip(MESSAGE_FIELDS.items(), _message_row(m))}
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def read_messages(path: str | Path) -> Iterator[Level3Message]:
     """Read a stream from CSV or newline-delimited JSON (by extension)."""
     path = Path(path)
-    if path.suffix == ".ndjson":
-        with path.open() as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    yield _from_record(json.loads(line))
+    if path.suffix != ".ndjson":
+        for row in read_table(path, MESSAGE_FIELDS):
+            yield Level3Message(*row)
         return
-    with path.open(newline="") as fh:
-        for row in csv.DictReader(fh):
-            yield _from_record(row)
-
-
-def _to_record(m: Level3Message) -> dict:
-    return {
-        "seq": m.seq,
-        "ts_ns": m.ts,
-        "kind": m.kind.value,
-        "order_id": m.order_id,
-        "side": m.side.value,
-        "price_ticks": m.price,
-        "size": repr(float(m.size)),
-        "exec_size": repr(float(m.exec_size)) if m.kind is MessageKind.EXECUTE else "",
-    }
-
-
-def _from_record(rec: dict) -> Level3Message:
-    exec_size = rec.get("exec_size") or 0.0
-    return Level3Message(
-        seq=int(rec["seq"]),
-        ts=int(rec["ts_ns"]),
-        kind=MessageKind(rec["kind"]),
-        order_id=str(rec["order_id"]),
-        side=Side(rec["side"]),
-        price=int(rec["price_ticks"]),
-        size=float(rec.get("size") or 0.0),
-        exec_size=float(exec_size),
-    )
+    with path.open() as fh:
+        for line_no, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            where = f"{path}:{line_no}"
+            try:
+                record = json.loads(line)
+                cells = [str(record[name]) for name in MESSAGE_FIELDS]
+            except KeyError as exc:
+                raise ArtifactInvalid(f"{where}: column {exc.args[0]!r} is missing") from None
+            except (TypeError, json.JSONDecodeError) as exc:
+                raise ArtifactInvalid(f"{where}: not a JSON object ({exc})") from None
+            yield Level3Message(*parse_row(MESSAGE_FIELDS, cells, where))

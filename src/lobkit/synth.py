@@ -15,9 +15,10 @@ independent of its lifetime.
 
 from __future__ import annotations
 
-import csv
+import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -27,6 +28,7 @@ import numpy as np
 
 from .book import BookState
 from .messages import Level3Message, MessageKind, Side
+from .table import INTEGER, NUMBER, TEXT, read_table, write_table
 
 
 @dataclass(frozen=True)
@@ -43,8 +45,8 @@ class PiecewiseMultiplier:
             raise ValueError("multipliers must stay positive")
 
     def at(self, x: float) -> float:
-        idx = int(np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, len(self.values) - 1))
-        return self.values[idx]
+        idx = bisect.bisect_right(self.edges, x) - 1
+        return self.values[min(max(idx, 0), len(self.values) - 1)]
 
 
 FLAT = PiecewiseMultiplier((-math.inf, math.inf), (1.0,))
@@ -446,60 +448,14 @@ def generate_flow(config: GroundTruthConfig, duration: float) -> tuple[list[Leve
 # Sidecar IO
 # ---------------------------------------------------------------------------
 
-TRUTH_FIELDS = (
-    "order_id",
-    "lambda_exec",
-    "lambda_cancel",
-    "cif_exec",
-    "cif_cancel",
-    "pw_fill",
-    "delta",
-    "spread",
-    "best_imbalance",
-    "insert_ts",
-    "regime",
-)
+#: The sidecar's columns: the ``TruthRow`` fields, in order, each read and written by its type.
+TRUTH_FIELDS = {f.name: {"str": TEXT, "int": INTEGER, "float": NUMBER}[f.type] for f in fields(TruthRow)}
+_TRUTH_ROW = attrgetter(*TRUTH_FIELDS)
 
 
 def write_truth(path: str | Path, rows: Sequence[TruthRow]) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRUTH_FIELDS)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.order_id,
-                    repr(r.lambda_exec),
-                    repr(r.lambda_cancel),
-                    repr(r.cif_exec),
-                    repr(r.cif_cancel),
-                    repr(r.pw_fill),
-                    r.delta,
-                    r.spread,
-                    repr(r.best_imbalance),
-                    r.insert_ts,
-                    r.regime,
-                ]
-            )
+    write_table(path, TRUTH_FIELDS, map(_TRUTH_ROW, rows))
 
 
 def read_truth(path: str | Path) -> list[TruthRow]:
-    rows = []
-    with Path(path).open(newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(
-                TruthRow(
-                    order_id=rec["order_id"],
-                    lambda_exec=float(rec["lambda_exec"]),
-                    lambda_cancel=float(rec["lambda_cancel"]),
-                    cif_exec=float(rec["cif_exec"]),
-                    cif_cancel=float(rec["cif_cancel"]),
-                    pw_fill=float(rec["pw_fill"]),
-                    delta=int(rec["delta"]),
-                    spread=int(rec["spread"]),
-                    best_imbalance=float(rec["best_imbalance"]),
-                    insert_ts=int(rec["insert_ts"]),
-                    regime=int(rec["regime"]),
-                )
-            )
-    return rows
+    return [TruthRow(*row) for row in read_table(path, TRUTH_FIELDS)]

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 
@@ -397,3 +398,40 @@ def test_malformed_snapshot_names_the_file_and_field(pipeline, tmp_path, capsys,
     err = _fails(_route(d, d / "fill.json", d / "cleanup.json", tmp_path / "out.json", snapshot=path), capsys)
     assert err["error"] == "ArtifactInvalid"
     assert str(path) in err["message"] and field in err["message"]
+
+
+def _edit_csv(source, out, column, row=None, value=None):
+    """``source`` with ``column`` dropped, or with its cell in data row ``row`` set to ``value``."""
+    with open(source, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    i = header.index(column)
+    if row is None:
+        header, rows = header[:i] + header[i + 1 :], [r[:i] + r[i + 1 :] for r in rows]
+    else:
+        rows[row][i] = value
+    with open(out, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    return out
+
+
+@pytest.mark.parametrize(
+    "artifact,column,value,command",
+    [
+        ("messages", "side", None, "replay --messages {bad} --out {tmp}/o.csv"),
+        ("messages", "kind", "ad", "replay --messages {bad} --out {tmp}/o.csv"),
+        ("messages", "side", "abc", "replay --messages {bad} --out {tmp}/o.csv"),
+        ("lifecycles", "insert_ts_ns", "zz", "features --lifecycles {bad} --out {tmp}/o.csv"),
+        ("matrix", "delta", None, "train-fill --matrix {bad} --seed 7 --out {tmp}/o.json"),
+        ("truth", "lambda_exec", "b", "features --lifecycles {pipeline}/lifecycles.csv --truth {bad} --out {tmp}/o.csv"),
+    ],
+)
+def test_malformed_table_fails_with_artifact_invalid(pipeline, tmp_path, capsys, artifact, column, value, command):
+    """A dropped column or a bad cell in each table artifact, through the subcommand that reads it."""
+    bad = _edit_csv(pipeline / f"{artifact}.csv", tmp_path / f"{artifact}.csv", column, None if value is None else 1, value)
+    args = [arg.format(bad=bad, tmp=tmp_path, pipeline=pipeline) for arg in command.split()]
+    err = _fails(BASE + args, capsys)
+    assert err["error"] == "ArtifactInvalid"
+    line = 1 if value is None else 3
+    assert err["message"].startswith(f"{bad}:{line}: ") and repr(column) in err["message"]
+    if value is not None:
+        assert repr(value) in err["message"]

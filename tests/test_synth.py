@@ -137,3 +137,13 @@ def test_drift_sign_follows_regime():
     msgs, _ = generate_flow(up, 120.0)
     asks = [m.price for m in msgs if m.kind is MessageKind.ADD and m.order_id.startswith("w") and m.side.value == "ask"]
     assert asks[-1] - asks[0] > 100  # strong upward drift over two minutes
+
+
+def test_piecewise_multiplier_matches_sorted_search_reference():
+    """``at`` picks the last edge at or below x, clamped to the first and last values."""
+    mult = PiecewiseMultiplier((-np.inf, 1, 2, 3.5, np.inf), (2.4, 1.6, 1.0, 0.6))
+    bounded = PiecewiseMultiplier((0.0, 1.0, 2.0), (3.0, 5.0))
+    for m in (mult, bounded, FLAT):
+        for x in (-np.inf, -5, -0.0, 0.0, 0.5, 1, 1.0, 1.5, 2, 3.5, 3.49, 4, 1e9, np.inf, np.nan):
+            idx = int(np.clip(np.searchsorted(m.edges, x, side="right") - 1, 0, len(m.values) - 1))
+            assert m.at(x) == m.values[idx], (m, x)
