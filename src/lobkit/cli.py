@@ -48,6 +48,7 @@ from .placement import (
     ZERO_FEES,
     FeePolicy,
     decision_map,
+    default_delta_range,
     distance_spread_surface,
     fit_toy_model,
     optimal_distance,
@@ -388,22 +389,15 @@ def _load_models(args) -> tuple:
 def cmd_route(args, cfg: PipelineConfig) -> int:
     snapshot = lio.read_snapshot(_require(args.snapshot, "snapshot"))
     fill, cleanup = _load_models(args)
-    # by default, sweep every admissible distance down to the depth filter's edge
-    if cfg.depth_mode == "bps":
-        mid_ticks = snapshot.mid / snapshot.tick_size
-        bid_ticks = snapshot.best_bid / snapshot.tick_size
-        delta_max = int(bid_ticks - mid_ticks * (1.0 - cfg.depth_value / 1e4))
-    else:
-        delta_max = int(cfg.depth_value)
+    default_lo, default_hi = default_delta_range(snapshot, cfg.depth_mode, cfg.depth_value)
     delta_range = (
-        -snapshot.spread_ticks + 1 if args.delta_min is None else args.delta_min,
-        max(1, delta_max) if args.delta_max is None else args.delta_max,
+        default_lo if args.delta_min is None else args.delta_min,
+        default_hi if args.delta_max is None else args.delta_max,
     )
     decision = optimal_distance(snapshot, args.quantity, _fees(cfg), fill, cleanup, delta_range)
-    _write_json(args.out, {k: v for k, v in dataclasses.asdict(decision).items() if k != "curve"})
+    _write_json(args.out, {k: getattr(decision, k) for k in ("action", "distance", "saved_cost", "break_even_fill")})
     if args.curve_out:
-        header = ("delta", "fill_probability", "cleanup_ticks", "saved_cost")
-        write_table(args.curve_out, header, ([row[k] for k in header] for row in decision.curve))
+        write_table(args.curve_out, ("delta", "fill_probability", "cleanup_ticks", "saved_cost"), decision.curve.rows())
     if args.decision_map_out:
         cells = decision_map(snapshot, args.map_cleanup_ticks, np.linspace(0.0, 1.0, 101))
         header = ("level", "fill_probability", "saved_cost", "action", "break_even")

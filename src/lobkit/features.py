@@ -21,6 +21,10 @@ from .book import BookState, EmptySideError
 from .messages import MessageKind, Side
 
 
+# looked up once: on Python 3.11 each ``Side.ASK`` runs ``EnumType.__getattr__``, as slow as hashing a member
+_ASK, _ADD = Side.ASK, MessageKind.ADD
+
+
 class SpreadTooNarrow(ValueError):
     pass
 
@@ -91,20 +95,22 @@ class RollingWindows:
     """The last ``m`` events and the last ``m`` trades, plus each value a
     window feature sums over, filed under its key as it is pushed.
 
-    ``added[side]`` holds the added sizes of a side, ``signed[side]`` its
-    event sizes signed (add +, cancel/execute -), ``traded[side]`` the sizes
-    traded against a resting side, and ``gaps``/``squared_returns`` the
-    seconds and the squared log return between consecutive window trades.
-    Every key is in push order, so an eviction drops the oldest entry of the
-    evicted item's keys and each key always matches its window.
+    ``added[s]`` holds the added sizes of a side, ``signed[s]`` its event
+    sizes signed (add +, cancel/execute -), ``traded[s]`` the sizes traded
+    against a resting side, and ``gaps``/``squared_returns`` the seconds and
+    the squared log return between consecutive window trades.  The per-side
+    keys are pairs indexed by ``s = side is Side.ASK`` (bid first), which
+    costs no enum hashing.  Every key is in push order, so an eviction drops
+    the oldest entry of the evicted item's keys and each key always matches
+    its window.
     """
 
     def __init__(self, event_window: int = 50, trade_window: int = 50):
         self.events: deque[tuple[Side, MessageKind, float]] = deque(maxlen=event_window)
         self.trades: deque[tuple[int, Side, float, int]] = deque(maxlen=trade_window)
-        self.added: dict[Side, deque[float]] = {Side.BID: deque(), Side.ASK: deque()}
-        self.signed: dict[Side, deque[float]] = {Side.BID: deque(), Side.ASK: deque()}
-        self.traded: dict[Side, deque[float]] = {Side.BID: deque(), Side.ASK: deque()}
+        self.added: tuple[deque[float], deque[float]] = (deque(), deque())
+        self.signed: tuple[deque[float], deque[float]] = (deque(), deque())
+        self.traded: tuple[deque[float], deque[float]] = (deque(), deque())
         self.gaps: deque[float] = deque()
         self.squared_returns: deque[float] = deque()
         self.trades_seen = 0
@@ -113,19 +119,21 @@ class RollingWindows:
     def push_event(self, side: Side, kind: MessageKind, size: float) -> None:
         if len(self.events) == self.events.maxlen:
             old_side, old_kind, _ = self.events.popleft()
-            self.signed[old_side].popleft()
-            if old_kind is MessageKind.ADD:
-                self.added[old_side].popleft()
+            old_ask = old_side is _ASK
+            self.signed[old_ask].popleft()
+            if old_kind is _ADD:
+                self.added[old_ask].popleft()
         self.events.append((side, kind, size))
-        if kind is MessageKind.ADD:
-            self.added[side].append(size)
-            self.signed[side].append(size)
+        ask = side is _ASK
+        if kind is _ADD:
+            self.added[ask].append(size)
+            self.signed[ask].append(size)
         else:
-            self.signed[side].append(-size)
+            self.signed[ask].append(-size)
 
     def push_trade(self, ts: int, resting_side: Side, size: float, price: int) -> None:
         if len(self.trades) == self.trades.maxlen:
-            self.traded[self.trades.popleft()[1]].popleft()
+            self.traded[self.trades.popleft()[1] is _ASK].popleft()
             if self.gaps:
                 self.gaps.popleft()
                 self.squared_returns.popleft()
@@ -136,7 +144,7 @@ class RollingWindows:
             log_return = math.log(price) - math.log(last_price)
             self.squared_returns.append(log_return * log_return)
         self.trades.append((ts, resting_side, size, price))
-        self.traded[resting_side].append(size)
+        self.traded[resting_side is _ASK].append(size)
         self.trades_seen += 1
 
     def note_start(self, ts: int) -> None:
@@ -209,9 +217,9 @@ def assemble_features(
         omega = aggressiveness_index(delta, spread)
 
     # every sum is math.fsum: correctly rounded, whatever the order
-    add_bid, add_ask = math.fsum(windows.added[Side.BID]), math.fsum(windows.added[Side.ASK])
-    net_bid, net_ask = math.fsum(windows.signed[Side.BID]), math.fsum(windows.signed[Side.ASK])
-    traded_bid, traded_ask = math.fsum(windows.traded[Side.BID]), math.fsum(windows.traded[Side.ASK])
+    add_bid, add_ask = map(math.fsum, windows.added)
+    net_bid, net_ask = map(math.fsum, windows.signed)
+    traded_bid, traded_ask = map(math.fsum, windows.traded)
 
     # net liquidity change with the bid-positive convention
     signed_flow = net_bid - net_ask

@@ -10,12 +10,12 @@ size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .features import FeatureVector, feature_matrix
+from .features import FEATURE_COLUMNS, FeatureVector
 
 
 class InadmissibleDistance(ValueError):
@@ -99,13 +99,32 @@ class MarketSnapshot:
         return int(round((self.best_ask - self.best_bid) / self.tick_size))
 
 
+@dataclass(slots=True)
+class SweepCurve:
+    """Per-distance diagnostics of a sweep: one array entry per distance."""
+
+    delta: np.ndarray  # ticks, ascending
+    fill_probability: np.ndarray
+    cleanup_ticks: np.ndarray
+    saved_cost: np.ndarray  # quote units
+
+    def __len__(self) -> int:
+        return len(self.delta)
+
+    def rows(self) -> Iterator[tuple[int, float, float, float]]:
+        """(delta, fill probability, clean-up ticks, saved cost) per distance, as Python numbers."""
+        return zip(
+            self.delta.tolist(), self.fill_probability.tolist(), self.cleanup_ticks.tolist(), self.saved_cost.tolist()
+        )
+
+
 @dataclass
 class PlacementDecision:
     action: str  # "market" or "limit"
     distance: int | None  # ticks, only for limit
     saved_cost: float  # at the optimum, quote units
     break_even_fill: float | None
-    curve: list[dict] = field(default_factory=list)  # per-distance diagnostics
+    curve: SweepCurve
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +144,17 @@ def _check_admissible(snapshot: MarketSnapshot, delta: int) -> None:
         )
 
 
+def _gain(snapshot: MarketSnapshot, delta, fees: FeePolicy):
+    """Fee-adjusted cost saved by a fill at ``delta``; ``delta`` a scalar or an array."""
+    return fees.f_minus * snapshot.best_ask - fees.f_plus * (snapshot.best_bid - snapshot.tick_size * delta)
+
+
+def _unchecked_saved_cost(snapshot: MarketSnapshot, delta, fees: FeePolicy, f, v):
+    """The saved-cost arithmetic on scalars or arrays, in one operation order,
+    so a sweep and a scalar call agree bit for bit."""
+    return f * _gain(snapshot, delta, fees) - (1.0 - f) * fees.f_minus * snapshot.tick_size * v
+
+
 def saved_cost(
     snapshot: MarketSnapshot,
     delta: int,
@@ -136,17 +166,14 @@ def saved_cost(
     _check_admissible(snapshot, delta)
     if not 0.0 <= fill_probability <= 1.0:
         raise ValueError(f"fill probability must be in [0, 1], got {fill_probability}")
-    alpha = snapshot.tick_size
-    gain = fees.f_minus * snapshot.best_ask - fees.f_plus * (snapshot.best_bid - alpha * delta)
-    return fill_probability * gain - (1.0 - fill_probability) * fees.f_minus * alpha * cleanup_ticks
+    return _unchecked_saved_cost(snapshot, delta, fees, fill_probability, cleanup_ticks)
 
 
 def break_even_fill(snapshot: MarketSnapshot, delta: int, fees: FeePolicy, cleanup_ticks: float) -> float:
     """Fill probability at which the saved cost crosses zero."""
     _check_admissible(snapshot, delta)
-    alpha = snapshot.tick_size
-    gain = fees.f_minus * snapshot.best_ask - fees.f_plus * (snapshot.best_bid - alpha * delta)
-    loss = fees.f_minus * alpha * cleanup_ticks
+    gain = _gain(snapshot, delta, fees)
+    loss = fees.f_minus * snapshot.tick_size * cleanup_ticks
     denom = gain + loss
     if denom <= 0:
         raise NonpositiveDenominator("posting never pays at this distance; cross the spread")
@@ -157,25 +184,41 @@ def break_even_fill(snapshot: MarketSnapshot, delta: int, fees: FeePolicy, clean
 # Optimal distance
 # ---------------------------------------------------------------------------
 
+_COLUMN = {name: i for i, name in enumerate(FEATURE_COLUMNS)}
 
-def features_for_distance(
-    base: FeatureVector, snapshot: MarketSnapshot, quantity: float, delta: int
-) -> FeatureVector:
-    """Candidate-order covariates: only distance-dependent fields move.
+
+def candidate_matrix(snapshot: MarketSnapshot, quantity: float, deltas: np.ndarray) -> np.ndarray:
+    """Model rows of candidate orders at each of ``deltas``: only the
+    distance-dependent columns move.
 
     Book-level state is frozen at decision time; an aggressive candidate
     starts a fresh queue so its priority volume is zero.
     """
+    d = np.asarray(deltas, dtype=float)
     spread = snapshot.spread_ticks
-    return replace(
-        base,
-        delta=float(delta),
-        spread=float(spread),
-        spread_after=float(min(spread, spread + delta)),
-        aggressiveness=delta / (1.0 - spread) if (delta < 0 and spread > 1) else None,
-        prior_volume=0.0 if delta < 0 else base.prior_volume,
-        size=float(quantity),
-    )
+    X = np.repeat(snapshot.features.to_row()[None, :], len(d), axis=0)
+    aggressive = d < 0
+    X[:, _COLUMN["delta"]] = d
+    X[:, _COLUMN["spread"]] = spread
+    X[:, _COLUMN["spread_after"]] = np.minimum(spread, spread + d)
+    # defined inside the spread only; at a one-tick spread no candidate is inside
+    X[:, _COLUMN["aggressiveness"]] = np.where(aggressive, d / (1.0 - spread), 0.0) if spread > 1 else 0.0
+    X[aggressive, _COLUMN["prior_volume"]] = 0.0
+    X[:, _COLUMN["size"]] = quantity
+    X[:, _COLUMN["is_at_best"]] = d == 0
+    X[:, _COLUMN["is_aggressive"]] = aggressive
+    return X
+
+
+def default_delta_range(snapshot: MarketSnapshot, depth_mode: str, depth_value: float) -> tuple[int, int]:
+    """Every admissible distance out to the depth filter's edge (at least one tick)."""
+    if depth_mode == "bps":
+        mid_ticks = snapshot.mid / snapshot.tick_size
+        bid_ticks = snapshot.best_bid / snapshot.tick_size
+        delta_max = int(bid_ticks - mid_ticks * (1.0 - depth_value / 1e4))
+    else:
+        delta_max = int(depth_value)
+    return (-snapshot.spread_ticks + 1, max(1, delta_max))
 
 
 def optimal_distance(
@@ -200,20 +243,27 @@ def optimal_distance(
     lo, hi = delta_range
     if lo <= -spread:
         raise InadmissibleDistance(f"range start {lo} is not admissible for spread {spread}")
-    deltas = range(lo, hi + 1)
-    X = feature_matrix(features_for_distance(snapshot.features, snapshot, quantity, d) for d in deltas)
-    best_delta = best_v = None
-    best_s = -math.inf
-    curve: list[dict] = []
-    for delta, f, v in zip(deltas, fill_model.predict(X).tolist(), cleanup_model.predict(X).tolist()):
-        s = saved_cost(snapshot, delta, fees, f, v)
-        curve.append({"delta": delta, "fill_probability": f, "cleanup_ticks": v, "saved_cost": s})
-        if s >= best_s:  # ascending sweep, so ties resolve to the largest delta
-            best_s, best_delta, best_v = s, delta, v
+    if hi < lo:
+        raise InadmissibleDistance(f"distance range ({lo}, {hi}) is empty")
+    deltas = np.arange(lo, hi + 1)
+    X = candidate_matrix(snapshot, quantity, deltas)
+    f = np.asarray(fill_model.predict(X), dtype=float)
+    v = np.asarray(cleanup_model.predict(X), dtype=float)
+    in_unit = (f >= 0.0) & (f <= 1.0)  # False for NaN
+    if not in_unit.all():
+        raise ValueError(f"fill probability must be in [0, 1], got {f[~in_unit][0]}")
+    finite = np.isfinite(v)
+    if not finite.all():
+        raise ValueError(f"clean-up cost must be finite, got {v[~finite][0]}")
+    s = _unchecked_saved_cost(snapshot, deltas, fees, f, v)
+    curve = SweepCurve(deltas, f, v, s)
+    best = len(s) - 1 - int(np.argmax(s[::-1]))  # the last maximum: ties go to the largest delta
+    best_s = float(s[best])
     if best_s <= 0:
         return PlacementDecision("market", None, best_s, None, curve)
+    best_delta = int(deltas[best])
     try:
-        be = break_even_fill(snapshot, best_delta, fees, best_v)
+        be = break_even_fill(snapshot, best_delta, fees, float(v[best]))
     except NonpositiveDenominator:
         be = None
     return PlacementDecision("limit", best_delta, best_s, be, curve)
@@ -387,7 +437,10 @@ def distance_spread_surface(
             features=snapshot.features,
         )
         decision = optimal_distance(hypo, quantity, fees, fill_model, cleanup_model, (-spread + 1, depth))
-        rows.extend({"spread": spread, **cell, "is_optimum": cell["delta"] == decision.distance} for cell in decision.curve)
+        rows.extend(
+            dict(spread=spread, delta=d, fill_probability=f, cleanup_ticks=v, saved_cost=s, is_optimum=d == decision.distance)
+            for d, f, v, s in decision.curve.rows()
+        )
     return rows
 
 

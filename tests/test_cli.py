@@ -277,6 +277,14 @@ def _route(d, fill, cleanup, out, snapshot=None):
     ]
 
 
+def test_empty_route_range_fails_and_writes_no_decision(pipeline, tmp_path, capsys):
+    d = pipeline
+    out = tmp_path / "decision.json"
+    err = _fails(_route(d, d / "fill.json", d / "cleanup.json", out) + ["--delta-min", "5", "--delta-max", "3"], capsys)
+    assert err["error"] == "InadmissibleDistance" and "(5, 3)" in err["message"]
+    assert not out.exists()
+
+
 def _backtest(d, fill, cleanup, out, scored="2", matrix=None):
     """Scores the second period (``scored="2"``) or the first (``scored=""``)."""
     return BASE + [

@@ -3,7 +3,9 @@
 ``optimal_distance`` and ``run_backtest`` call each model once on a stacked
 matrix.  The references below score one candidate or record at a time, with
 a one-row predict per model, and must reach the same decisions; the batched
-matmul may round differently, so curve values agree to 1e-12.
+matmul may round differently, so curve values agree to 1e-12.  Given the same
+batched predictions, the candidate matrix and the saved-cost sweep do no
+arithmetic the per-distance scalar path does not, so they agree with ``==``.
 """
 
 import dataclasses
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from lobkit.backtest import MODEL_I, MODEL_II, MODEL_III, RouterModels, label_outcome, run_backtest
 from lobkit.cleanup import train_cleanup_model
-from lobkit.features import FEATURE_COLUMNS, FeatureVector
+from lobkit.features import FEATURE_COLUMNS, FeatureVector, feature_matrix
 from lobkit.fill_model import train_fill_model, train_fill_model_per_regime
 from lobkit.messages import Side
 from lobkit.mlp import TrainConfig
@@ -28,7 +30,7 @@ from lobkit.placement import (
     NonpositiveDenominator,
     ToyModel,
     break_even_fill,
-    features_for_distance,
+    candidate_matrix,
     optimal_distance,
     saved_cost,
 )
@@ -99,8 +101,27 @@ def route_cases(draw):
     bid = draw(st.integers(1_000, 30_000))
     features = draw(feature_vectors(spread, draw(st.integers(-spread + 1, 8))))
     snapshot = MarketSnapshot(best_bid=bid * TICK, best_ask=(bid + spread) * TICK, tick_size=TICK, features=features)
-    delta_range = (-spread + 1, draw(st.integers(-spread + 1, 40)))
+    lo = draw(st.one_of(st.just(-spread + 1), st.integers(-spread + 1, 10)))
+    delta_range = (lo, draw(st.integers(lo, 40)))
     return snapshot, draw(st.floats(0.1, 10.0)), draw(FEES), delta_range
+
+
+def _features_for_distance(snapshot: MarketSnapshot, quantity: float, delta: int) -> FeatureVector:
+    """The reference candidate row: only distance-dependent fields move.
+
+    Book-level state is frozen at decision time; an aggressive candidate
+    starts a fresh queue so its priority volume is zero.
+    """
+    base, spread = snapshot.features, snapshot.spread_ticks
+    return dataclasses.replace(
+        base,
+        delta=float(delta),
+        spread=float(spread),
+        spread_after=float(min(spread, spread + delta)),
+        aggressiveness=delta / (1.0 - spread) if (delta < 0 and spread > 1) else None,
+        prior_volume=0.0 if delta < 0 else base.prior_volume,
+        size=float(quantity),
+    )
 
 
 def _one_row(model, z: FeatureVector) -> float:
@@ -113,7 +134,7 @@ def _scalar_sweep(snapshot, quantity, fees, fill, cleanup, delta_range):
     best_s, best_delta = -math.inf, None
     curve = []
     for delta in range(delta_range[0], delta_range[1] + 1):
-        z = features_for_distance(snapshot.features, snapshot, quantity, delta)
+        z = _features_for_distance(snapshot, quantity, delta)
         f, v = _one_row(fill, z), _one_row(cleanup, z)
         s = saved_cost(snapshot, delta, fees, f, v)
         curve.append((f, v, s))
@@ -121,7 +142,7 @@ def _scalar_sweep(snapshot, quantity, fees, fill, cleanup, delta_range):
             best_s, best_delta = s, delta
     if best_s <= 0:
         return ("market", None, None), curve
-    z = features_for_distance(snapshot.features, snapshot, quantity, best_delta)
+    z = _features_for_distance(snapshot, quantity, best_delta)
     try:
         be = break_even_fill(snapshot, best_delta, fees, _one_row(cleanup, z))
     except NonpositiveDenominator:
@@ -145,11 +166,39 @@ def test_optimal_distance_matches_scalar_sweep(kind, case):
     assert (decision.break_even_fill is None) == (be is None)
     if be is not None:
         assert _close(decision.break_even_fill, be)
-    assert [cell["delta"] for cell in decision.curve] == list(range(delta_range[0], delta_range[1] + 1))
-    for cell, (f, v, s) in zip(decision.curve, curve):
-        assert _close(cell["fill_probability"], f)
-        assert _close(cell["cleanup_ticks"], v)
-        assert _close(cell["saved_cost"], s)
+    assert decision.curve.delta.tolist() == list(range(delta_range[0], delta_range[1] + 1))
+    for (_, f_got, v_got, s_got), (f, v, s) in zip(decision.curve.rows(), curve):
+        assert _close(f_got, f)
+        assert _close(v_got, v)
+        assert _close(s_got, s)
+
+
+@pytest.mark.parametrize("kind", ["pooled", "per-regime", "flat"])
+@SETTINGS
+@given(case=route_cases())
+def test_candidate_matrix_and_sweep_equal_scalar_path(kind, case):
+    """Same predictions in, the same floats out: rows, curve and decision are ``==``."""
+    snapshot, quantity, fees, (lo, hi) = case
+    fill, cleanup = _route_models(kind)
+    deltas = range(lo, hi + 1)
+    X = candidate_matrix(snapshot, quantity, np.arange(lo, hi + 1))
+    assert np.array_equal(X, feature_matrix(_features_for_distance(snapshot, quantity, d) for d in deltas))
+
+    fs, vs = fill.predict(X).tolist(), cleanup.predict(X).tolist()
+    costs = [saved_cost(snapshot, d, fees, f, v) for d, f, v in zip(deltas, fs, vs)]
+    best = max(range(len(costs)), key=lambda i: (costs[i], i))  # ties to the largest delta
+    if costs[best] <= 0:
+        expected = ("market", None, costs[best], None)
+    else:
+        try:
+            be = break_even_fill(snapshot, deltas[best], fees, vs[best])
+        except NonpositiveDenominator:
+            be = None
+        expected = ("limit", deltas[best], costs[best], be)
+
+    decision = optimal_distance(snapshot, quantity, fees, fill, cleanup, (lo, hi))
+    assert (decision.action, decision.distance, decision.saved_cost, decision.break_even_fill) == expected
+    assert list(decision.curve.rows()) == list(zip(deltas, fs, vs, costs))
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from lobkit.placement import (
     NonpositiveDenominator,
     ToyModel,
     break_even_fill,
+    candidate_matrix,
     decision_map,
     empirical_move_distribution,
-    features_for_distance,
     fit_toy_model,
     immediate_cost,
     latency_saved_cost,
@@ -278,15 +279,47 @@ def test_grid_argmax_tracks_toy_model():
 
 def test_distance_sweep_updates_delta_dependent_features():
     snap = _snapshot(spread=8)
-    z = features_for_distance(snap.features, snap, 2.5, -3)
-    assert z.delta == -3.0
-    assert z.spread_after == 5.0
-    assert z.aggressiveness == pytest.approx(-3 / (1 - 8))
-    assert z.prior_volume == 0.0
-    assert z.size == 2.5
-    z2 = features_for_distance(snap.features, snap, 2.5, 4)
-    assert z2.aggressiveness is None
-    assert z2.prior_volume == 3.0  # frozen book state for passive candidates
+    X = candidate_matrix(snap, 2.5, np.array([-3, 0, 4]))
+    z, at_best, z2 = (dict(zip(FEATURE_COLUMNS, row)) for row in X)
+    assert z["delta"] == -3.0
+    assert z["spread"] == 8.0
+    assert z["spread_after"] == 5.0
+    assert z["aggressiveness"] == pytest.approx(-3 / (1 - 8))
+    assert z["prior_volume"] == 0.0
+    assert z["size"] == 2.5
+    assert (z["is_at_best"], z["is_aggressive"]) == (0.0, 1.0)
+    assert (at_best["is_at_best"], at_best["is_aggressive"], at_best["aggressiveness"]) == (1.0, 0.0, 0.0)
+    assert z2["aggressiveness"] == 0.0
+    assert z2["prior_volume"] == 3.0  # frozen book state for passive candidates
+    assert z2["spread_after"] == 8.0
+    assert z2["volatility"] == snap.features.volatility  # book-level columns are the snapshot's
+    # at a one-tick spread no candidate is inside the spread, and the masked division stays silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        X = candidate_matrix(_snapshot(spread=1), 1.0, np.arange(0, 5))
+    assert np.all(X[:, FEATURE_COLUMNS.index("aggressiveness")] == 0.0)
+    assert np.all(X[:, FEATURE_COLUMNS.index("spread_after")] == 1.0)
+
+
+def test_empty_distance_range_is_inadmissible():
+    snap = _snapshot(spread=4)
+    with pytest.raises(InadmissibleDistance, match=r"\(5, 3\)"):
+        optimal_distance(snap, 1.0, FEE_TABLE[9], _ConstantModel(0.5), _ConstantModel(1.0), (5, 3))
+
+
+@pytest.mark.parametrize(
+    ("fill", "cleanup", "message"),
+    [
+        (0.5, math.nan, "clean-up cost must be finite"),
+        (0.5, math.inf, "clean-up cost must be finite"),
+        (math.nan, 1.0, r"fill probability must be in \[0, 1\]"),
+        (-0.1, 1.0, r"fill probability must be in \[0, 1\]"),
+        (1.5, 1.0, r"fill probability must be in \[0, 1\]"),
+    ],
+)
+def test_invalid_predictions_are_rejected(fill, cleanup, message):
+    with pytest.raises(ValueError, match=message):
+        optimal_distance(_snapshot(spread=4), 1.0, FEE_TABLE[9], _ConstantModel(fill), _ConstantModel(cleanup), (-3, 5))
 
 
 # ---------------------------------------------------------------------------
