@@ -17,9 +17,18 @@ from typing import Sequence
 import numpy as np
 
 from .cleanup import CleanupModel
-from .features import FEATURE_COLUMNS, feature_matrix
+from .features import feature_matrix
 from .fill_model import FillModel
-from .placement import FeePolicy, MarketSnapshot, ToyModel, saved_cost
+from .messages import Side
+from .placement import (
+    _COLUMN,
+    FeePolicy,
+    ToyModel,
+    _check_fill_probabilities,
+    _check_quotes,
+    _unchecked_saved_cost,
+    saved_cost,  # noqa: F401  -- the scalar rule scored here in array form; benchmarks/workloads.py traces this name
+)
 from .replay import OrderLifecycle, Outcome
 
 
@@ -55,24 +64,25 @@ class RouterModels:
     constant_cleanup: float = 0.0  # ticks
     trained_span: tuple[int, int] | None = None
 
-    def fill_probabilities(self, kind: str, X: np.ndarray) -> list[float]:
+    def fill_probabilities(self, kind: str, X: np.ndarray) -> np.ndarray:
         """A ``ModelSpec.fill`` component's fill probability for each row of ``X``."""
         if kind == "exponential":
             if self.toy is None:
                 raise ValueError("exponential fill component not fitted")
-            ask_distances = X[:, FEATURE_COLUMNS.index("spread")] + X[:, FEATURE_COLUMNS.index("delta")]
-            return [min(1.0, self.toy.fill_probability(d)) for d in ask_distances.tolist()]
+            ask_distances = X[:, _COLUMN["spread"]] + X[:, _COLUMN["delta"]]
+            # math.exp per record: np.exp may differ from it in the last bit
+            return np.array([min(1.0, self.toy.fill_probability(d)) for d in ask_distances.tolist()], dtype=float)
         if self.fill is None:
             raise ValueError("fill model not trained")
-        return self.fill.predict(X).tolist()
+        return np.asarray(self.fill.predict(X), dtype=float)
 
-    def cleanup_costs(self, kind: str, X: np.ndarray) -> list[float]:
+    def cleanup_costs(self, kind: str, X: np.ndarray) -> np.ndarray:
         """A ``ModelSpec.cleanup`` component's clean-up cost in ticks for each row of ``X``."""
         if kind == "constant":
-            return [self.constant_cleanup] * len(X)
+            return np.full(len(X), self.constant_cleanup, dtype=float)
         if self.cleanup is None:
             raise ValueError("clean-up model not trained")
-        return self.cleanup.predict(X).tolist()
+        return np.asarray(self.cleanup.predict(X), dtype=float)
 
 
 @dataclass
@@ -160,6 +170,55 @@ def check_disjoint(trained_span: tuple[int, int] | None, records: Sequence[Order
             )
 
 
+def _record_quotes(
+    records: Sequence[OrderLifecycle], X: np.ndarray, tick_size: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(best bid, best ask, distance in whole ticks) before each record's insertion.
+
+    Ticks come from each record's price, side, distance and spread (row ``i``
+    of ``X``) with ``int``'s truncation, exactly for quotes within 2**53 ticks;
+    a record the scalar ``MarketSnapshot`` or ``saved_cost`` rejects raises.
+    """
+    delta, spread = X[:, _COLUMN["delta"]], X[:, _COLUMN["spread"]]
+    bid = Side.BID
+    price = np.array([rec.price for rec in records], dtype=float)
+    on_bid = np.array([rec.side is bid for rec in records], dtype=bool)
+    delta_ticks = np.trunc(delta)
+    # non-finite features make NaN quotes (inf - inf, inf * 0), which fail the spread rule
+    with np.errstate(invalid="ignore"):
+        bid_ticks = np.where(on_bid, price + delta_ticks, np.trunc(price - delta - spread))
+        best_bid = bid_ticks * tick_size
+        best_ask = (bid_ticks + np.trunc(spread)) * tick_size
+    _check_quotes(best_bid, best_ask, tick_size, delta_ticks, lambda i: f"order {records[i].order_id}")
+    return best_bid, best_ask, delta_ticks
+
+
+def record_saved_costs(
+    records: Sequence[OrderLifecycle],
+    specs: Sequence[ModelSpec],
+    models: RouterModels,
+    fees: FeePolicy,
+    tick_size: float,
+) -> dict[str, np.ndarray]:
+    """Each spec's saved cost, in quote units, of posting each record at its own distance.
+
+    Each model component scores all records in one call; each spec's costs are
+    one array expression of the scalar ``saved_cost``'s arithmetic, so every
+    value is ``==`` to its call on the same prediction.  A fill probability
+    outside [0, 1] raises ``ValueError``.
+    """
+    X = feature_matrix(rec.features for rec in records)
+    fills = {kind: models.fill_probabilities(kind, X) for kind in dict.fromkeys(spec.fill for spec in specs)}
+    cleanups = {kind: models.cleanup_costs(kind, X) for kind in dict.fromkeys(spec.cleanup for spec in specs)}
+    best_bid, best_ask, delta = _record_quotes(records, X, tick_size)
+    for f in fills.values():
+        _check_fill_probabilities(f)
+    return {
+        spec.id: _unchecked_saved_cost(best_bid, best_ask, tick_size, delta, fees, fills[spec.fill], cleanups[spec.cleanup])
+        for spec in specs
+    }
+
+
 def run_backtest(
     records: Sequence[OrderLifecycle],
     specs: Sequence[ModelSpec],
@@ -170,9 +229,9 @@ def run_backtest(
 ) -> BacktestReport:
     """Score each spec's limit/market call against the realized labels.
 
-    The snapshot behind each decision is rebuilt from the record's own
-    insertion state; a training span overlapping the scored records raises.
-    Each model component scores all labelled records in one call.
+    The quotes behind each decision are rebuilt from the record's own
+    insertion state (see ``record_saved_costs``); a training span overlapping
+    the scored records raises.
     """
     check_disjoint(models.trained_span, records)
     labels: list[int] = []
@@ -186,29 +245,13 @@ def run_backtest(
         labels.append(label)
         used.append(rec)
 
-    X = feature_matrix(rec.features for rec in used)
-    fills = {kind: models.fill_probabilities(kind, X) for kind in dict.fromkeys(spec.fill for spec in specs)}
-    cleanups = {kind: models.cleanup_costs(kind, X) for kind in dict.fromkeys(spec.cleanup for spec in specs)}
-    decisions: dict[str, list[int]] = {spec.id: [] for spec in specs}
-    for i, rec in enumerate(used):
-        best_bid_ticks = rec.price + int(rec.features.delta) if rec.side.value == "bid" else None
-        if best_bid_ticks is None:
-            best_bid_ticks = int(rec.price - rec.features.delta - rec.features.spread)
-        best_ask_ticks = best_bid_ticks + int(rec.features.spread)
-        snapshot = MarketSnapshot(
-            best_bid=best_bid_ticks * tick_size,
-            best_ask=best_ask_ticks * tick_size,
-            tick_size=tick_size,
-            features=rec.features,
-        )
-        for spec in specs:
-            s = saved_cost(snapshot, int(rec.features.delta), fees, fills[spec.fill][i], cleanups[spec.cleanup][i])
-            decisions[spec.id].append(1 if s > 0 else 0)
-
+    costs = record_saved_costs(used, specs, models, fees, tick_size)
     truth = np.asarray(labels)
+    decisions: dict[str, list[int]] = {}
     per_model: dict[str, dict[str, ActionMetrics]] = {}
     for spec in specs:
-        pred = np.asarray(decisions[spec.id])
+        pred = (costs[spec.id] > 0).astype(int)
+        decisions[spec.id] = pred.tolist()
         per_model[spec.id] = {
             "limit": _metrics(pred, truth, positive=1),
             "market": _metrics(pred, truth, positive=0),

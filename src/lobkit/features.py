@@ -52,6 +52,8 @@ FEATURE_COLUMNS = (
     "is_aggressive",
 )
 _ROW = attrgetter(*FEATURE_COLUMNS)
+_AGGRESSIVENESS_AT = FEATURE_COLUMNS.index("aggressiveness")
+_ROW_DTYPE = np.dtype((float, len(FEATURE_COLUMNS)))  # one model row as a fromiter item
 
 
 @dataclass(slots=True)
@@ -82,13 +84,18 @@ class FeatureVector:
         return 1.0 if self.delta < 0 else 0.0
 
     def to_row(self) -> np.ndarray:
-        """The model row: the ``FEATURE_COLUMNS`` attributes, ``None`` as 0.0."""
-        return np.array([0.0 if v is None else v for v in _ROW(self)])
+        """The model row: ``feature_matrix``'s row for this vector alone."""
+        return feature_matrix((self,))[0]
 
 
 def feature_matrix(vectors: Iterable[FeatureVector]) -> np.ndarray:
-    """The (n, len(FEATURE_COLUMNS)) model matrix, one row per vector."""
-    return np.array([v.to_row() for v in vectors]).reshape(-1, len(FEATURE_COLUMNS))
+    """The (n, len(FEATURE_COLUMNS)) model matrix, one row per vector: the
+    ``FEATURE_COLUMNS`` attributes, a ``None`` aggressiveness as 0.0."""
+    vectors = list(vectors)
+    # streamed one row at a time, so no tuple per row is held at once; a None aggressiveness reads NaN here
+    X = np.fromiter(map(_ROW, vectors), _ROW_DTYPE, len(vectors))
+    X[:, _AGGRESSIVENESS_AT] = [0.0 if v.aggressiveness is None else v.aggressiveness for v in vectors]
+    return X
 
 
 class RollingWindows:

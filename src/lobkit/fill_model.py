@@ -10,6 +10,7 @@ drop out of the loss.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar, Sequence
@@ -54,6 +55,11 @@ def censoring_survival(obs: Sequence[Observation]) -> SurvivalCurve:
     )
 
 
+def _bucket(edges: Sequence[float], x: float) -> int:
+    """The bucket of the last edge at or below ``x``, clamped to the first and last bucket; NaN falls in the last."""
+    return min(max(bisect_right(edges, x) - 1, 0), len(edges) - 2)
+
+
 @dataclass
 class CensoringModel:
     """Censoring survival stratified by placement regime.
@@ -70,11 +76,8 @@ class CensoringModel:
         if delta == 0:
             return "at_best"
         if delta < 0:
-            om = 0.0 if omega is None else omega
-            idx = int(np.clip(np.searchsorted(self.omega_edges, om, side="right") - 1, 0, len(self.omega_edges) - 2))
-            return f"aggressive_{idx}"
-        idx = int(np.clip(np.searchsorted(self.delta_edges, delta, side="right") - 1, 0, len(self.delta_edges) - 2))
-        return f"passive_{idx}"
+            return f"aggressive_{_bucket(self.omega_edges, 0.0 if omega is None else omega)}"
+        return f"passive_{_bucket(self.delta_edges, delta)}"
 
     def survival_at(self, delta: float, omega: float | None, t: float) -> float:
         key = self.stratum_of(delta, omega)

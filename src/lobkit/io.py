@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .cleanup import CleanupModel
-from .features import FEATURE_COLUMNS, FeatureVector
+from .features import FEATURE_COLUMNS, FeatureVector, feature_matrix
 from .fill_model import REGIMES, FillModel, RegimeFillModels
 from .messages import SIDE
 from .mlp import MLP
@@ -98,10 +98,11 @@ def write_matrix(
     weights: np.ndarray,
 ) -> None:
     """Feature matrix export: one row per lifecycle with label and weight."""
+    # one matrix, converted row by row: a single tolist() would hold every cell as a Python float at once
+    cells = map(np.ndarray.tolist, feature_matrix(r.features for r in records))
     rows = (
-        (r.order_id, r.insert_ts, r.outcome, r.outcome_time, y, w, r.dp_ask_horizon, r.features.partial_window)
-        + tuple(r.features.to_row().tolist())
-        for r, y, w in zip(records, labels, weights)
+        (r.order_id, r.insert_ts, r.outcome, r.outcome_time, y, w, r.dp_ask_horizon, r.features.partial_window, *row)
+        for r, y, w, row in zip(records, labels, weights, cells)
     )
     write_table(path, MATRIX_FIELDS, rows)
 

@@ -117,7 +117,9 @@ def write_messages(path: str | Path, messages: Iterable[Level3Message]) -> None:
         return
     with path.open("w") as fh:
         for m in messages:
-            record = {name: kind.format(x) for (name, kind), x in zip(MESSAGE_FIELDS.items(), _message_row(m))}
+            cells = (kind.format(x) for kind, x in zip(MESSAGE_FIELDS.values(), _message_row(m)))
+            # a float stays a JSON string, its CSV cell's text
+            record = {name: repr(c) if isinstance(c, float) else c for name, c in zip(MESSAGE_FIELDS, cells)}
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 

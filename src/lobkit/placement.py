@@ -75,6 +75,9 @@ FEE_TABLE: dict[int, FeePolicy] = {
 
 ZERO_FEES = FeePolicy(0, 0.0, 0.0)
 
+#: How far a spread in ticks, from float quotes, may sit from a whole number.
+WHOLE_TICK_TOLERANCE = 1e-6
+
 
 @dataclass(slots=True)
 class MarketSnapshot:
@@ -87,7 +90,7 @@ class MarketSnapshot:
 
     def __post_init__(self) -> None:
         spread = (self.best_ask - self.best_bid) / self.tick_size
-        if abs(spread - round(spread)) > 1e-6 or round(spread) < 1:
+        if abs(spread - round(spread)) > WHOLE_TICK_TOLERANCE or round(spread) < 1:
             raise ValueError(f"spread must be a positive whole number of ticks, got {spread}")
 
     @property
@@ -144,15 +147,45 @@ def _check_admissible(snapshot: MarketSnapshot, delta: int) -> None:
         )
 
 
-def _gain(snapshot: MarketSnapshot, delta, fees: FeePolicy):
-    """Fee-adjusted cost saved by a fill at ``delta``; ``delta`` a scalar or an array."""
-    return fees.f_minus * snapshot.best_ask - fees.f_plus * (snapshot.best_bid - snapshot.tick_size * delta)
+def _gain(best_bid, best_ask, tick_size: float, delta, fees: FeePolicy):
+    """Fee-adjusted cost saved by a fill at ``delta``; quotes and ``delta`` scalars or arrays."""
+    return fees.f_minus * best_ask - fees.f_plus * (best_bid - tick_size * delta)
 
 
-def _unchecked_saved_cost(snapshot: MarketSnapshot, delta, fees: FeePolicy, f, v):
+def _unchecked_saved_cost(best_bid, best_ask, tick_size: float, delta, fees: FeePolicy, f, v):
     """The saved-cost arithmetic on scalars or arrays, in one operation order,
-    so a sweep and a scalar call agree bit for bit."""
-    return f * _gain(snapshot, delta, fees) - (1.0 - f) * fees.f_minus * snapshot.tick_size * v
+    so a sweep, a backtest and a scalar call agree bit for bit."""
+    return f * _gain(best_bid, best_ask, tick_size, delta, fees) - (1.0 - f) * fees.f_minus * tick_size * v
+
+
+def _check_quotes(
+    best_bid: np.ndarray, best_ask: np.ndarray, tick_size: float, delta: np.ndarray, name: Callable[[int], str]
+) -> None:
+    """``MarketSnapshot``'s spread rule and ``_check_admissible``'s distance
+    rule over arrays of quotes and distances.
+
+    The first entry ``i`` breaking one raises, prefixed with ``name(i)``: no
+    whole spread of at least one tick (NaN included) raises ``ValueError``, a
+    distance that is no integer above minus the spread ``InadmissibleDistance``.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spread = (best_ask - best_bid) / tick_size
+        whole = np.round(spread)  # half to even, as round()
+        whole_spread = (np.abs(spread - whole) <= WHOLE_TICK_TOLERANCE) & (whole >= 1)  # False for NaN
+        admissible = whole_spread & (delta == np.trunc(delta)) & (delta > -whole)
+    if admissible.all():
+        return
+    i = int(np.argmin(admissible))
+    if not whole_spread[i]:
+        raise ValueError(f"{name(i)}: spread must be a positive whole number of ticks, got {spread[i]}")
+    raise InadmissibleDistance(f"{name(i)}: delta must be an integer > {-int(whole[i])}, got {delta[i]:g}")
+
+
+def _check_fill_probabilities(f: np.ndarray) -> None:
+    """Raise ``ValueError`` on the first fill probability outside [0, 1], NaN included."""
+    in_unit = (f >= 0.0) & (f <= 1.0)  # False for NaN
+    if not in_unit.all():
+        raise ValueError(f"fill probability must be in [0, 1], got {f[~in_unit][0]}")
 
 
 def saved_cost(
@@ -166,13 +199,15 @@ def saved_cost(
     _check_admissible(snapshot, delta)
     if not 0.0 <= fill_probability <= 1.0:
         raise ValueError(f"fill probability must be in [0, 1], got {fill_probability}")
-    return _unchecked_saved_cost(snapshot, delta, fees, fill_probability, cleanup_ticks)
+    return _unchecked_saved_cost(
+        snapshot.best_bid, snapshot.best_ask, snapshot.tick_size, delta, fees, fill_probability, cleanup_ticks
+    )
 
 
 def break_even_fill(snapshot: MarketSnapshot, delta: int, fees: FeePolicy, cleanup_ticks: float) -> float:
     """Fill probability at which the saved cost crosses zero."""
     _check_admissible(snapshot, delta)
-    gain = _gain(snapshot, delta, fees)
+    gain = _gain(snapshot.best_bid, snapshot.best_ask, snapshot.tick_size, delta, fees)
     loss = fees.f_minus * snapshot.tick_size * cleanup_ticks
     denom = gain + loss
     if denom <= 0:
@@ -249,13 +284,11 @@ def optimal_distance(
     X = candidate_matrix(snapshot, quantity, deltas)
     f = np.asarray(fill_model.predict(X), dtype=float)
     v = np.asarray(cleanup_model.predict(X), dtype=float)
-    in_unit = (f >= 0.0) & (f <= 1.0)  # False for NaN
-    if not in_unit.all():
-        raise ValueError(f"fill probability must be in [0, 1], got {f[~in_unit][0]}")
+    _check_fill_probabilities(f)
     finite = np.isfinite(v)
     if not finite.all():
         raise ValueError(f"clean-up cost must be finite, got {v[~finite][0]}")
-    s = _unchecked_saved_cost(snapshot, deltas, fees, f, v)
+    s = _unchecked_saved_cost(snapshot.best_bid, snapshot.best_ask, snapshot.tick_size, deltas, fees, f, v)
     curve = SweepCurve(deltas, f, v, s)
     best = len(s) - 1 - int(np.argmax(s[::-1]))  # the last maximum: ties go to the largest delta
     best_s = float(s[best])

@@ -1,10 +1,11 @@
 """CSV tables: one column schema per artifact, one reader and one writer.
 
 A schema maps each column name, in header order, to its :class:`Kind`.
-Floats are written as ``repr`` of the Python float, so identical runs give
-byte-identical files and values round-trip exactly; ``None`` is an empty
-cell, booleans are ``0``/``1``.  A file that does not fit its schema raises
-:class:`ArtifactInvalid` naming ``path:line``, the column and the value.
+Floats are written as ``repr`` of the Python float, as ``csv.writer``
+writes a float, so identical runs give byte-identical files and values
+round-trip exactly; ``None`` is an empty cell, booleans are ``0``/``1``.  A
+file that does not fit its schema raises :class:`ArtifactInvalid` naming
+``path:line``, the column and the value.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ class ArtifactInvalid(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Kind:
-    """A column's cell parser, its cell formatter (text, or an int for integer
-    columns) and what a valid cell is, for the error a bad one raises."""
+    """A column's cell parser, its cell formatter (text, or the int or float
+    ``csv.writer`` writes) and what a valid cell is, for the error a bad one raises."""
 
     parse: Callable[[str], Any]
-    format: Callable[[Any], str | int]
+    format: Callable[[Any], str | int | float]
     expects: str
 
 
@@ -41,14 +42,14 @@ def _cell(x) -> str:
 
 TEXT = Kind(str, str, "text")
 INTEGER = Kind(int, int, "an integer")
-NUMBER = Kind(float, lambda x: repr(float(x)), "a number")
+NUMBER = Kind(float, float, "a number")  # an int is written 3.0, numpy's float as a Python float
 FLAG = Kind({"0": False, "1": True}.__getitem__, int, "0 or 1")
 
 
 def optional_number(empty: float | None = None) -> Kind:
     """A float whose empty cell reads as ``empty``; ``None`` is written empty."""
     return Kind(
-        lambda cell: float(cell) if cell else empty, lambda x: "" if x is None else repr(float(x)), "a number or empty"
+        lambda cell: float(cell) if cell else empty, lambda x: "" if x is None else float(x), "a number or empty"
     )
 
 

@@ -3,6 +3,8 @@ import pytest
 
 from lobkit.features import FeatureVector
 from lobkit.fill_model import (
+    DEFAULT_OMEGA_EDGES,
+    CensoringModel,
     FillModel,
     RegimeFillModels,
     build_training_matrix,
@@ -102,6 +104,30 @@ def test_stratified_matches_unstratified_on_identical_populations():
     for t in (0.5, 1.0, 2.0, 3.0):
         assert model.survival_at(1.0, None, t) == pytest.approx(pooled.at(t))
         assert model.survival_at(0.0, None, t) == pytest.approx(pooled.at(t))
+
+
+def test_stratum_of_matches_sorted_search_reference():
+    """A stratum is the last edge at or below the value, clamped to the first
+    and last bucket; NaN sorts last.  The reference is the sorted-search lookup."""
+
+    def reference(edges, x):
+        return int(np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(edges) - 2))
+
+    deciles = [0.0, 1.0, 2.0, 2.0, 3.5, 7.0, 20.0]
+    values = [-np.inf, -1.0, -0.0, 0.0, 1e-300, 0.5, 1.0, 2.0, 3.49, 3.5, 6.99, 7.0, 19.99, 20.0, 1e9, np.inf, np.nan]
+    for delta_edges in (deciles, [0.0, float("inf")]):
+        model = CensoringModel(delta_edges=delta_edges, omega_edges=list(DEFAULT_OMEGA_EDGES))
+        for delta in values:
+            if delta == 0:
+                expected = "at_best"
+            elif delta < 0:
+                expected = f"aggressive_{reference(model.omega_edges, 0.0)}"
+            else:
+                expected = f"passive_{reference(delta_edges, delta)}"
+            assert model.stratum_of(delta, None) == expected, (delta_edges, delta)
+        for omega in [None, *values, 1.0 / 3.0, 2.0 / 3.0, 1.0 + 1e-9]:
+            expected = f"aggressive_{reference(model.omega_edges, 0.0 if omega is None else omega)}"
+            assert model.stratum_of(-1.0, omega) == expected, omega
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@
 matrix.  The references below score one candidate or record at a time, with
 a one-row predict per model, and must reach the same decisions; the batched
 matmul may round differently, so curve values agree to 1e-12.  Given the same
-batched predictions, the candidate matrix and the saved-cost sweep do no
-arithmetic the per-distance scalar path does not, so they agree with ``==``.
+batched predictions, the candidate matrix, the saved-cost sweep and the
+backtest's saved-cost arrays do no arithmetic the scalar path does not, so
+they agree with ``==``.
 """
 
 import dataclasses
 import math
+import warnings
 from functools import cache
 
 import numpy as np
@@ -17,7 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lobkit.backtest import MODEL_I, MODEL_II, MODEL_III, RouterModels, label_outcome, run_backtest
+from lobkit.backtest import (
+    MODEL_I,
+    MODEL_II,
+    MODEL_III,
+    RouterModels,
+    label_outcome,
+    record_saved_costs,
+    run_backtest,
+)
 from lobkit.cleanup import train_cleanup_model
 from lobkit.features import FEATURE_COLUMNS, FeatureVector, feature_matrix
 from lobkit.fill_model import train_fill_model, train_fill_model_per_regime
@@ -26,6 +36,7 @@ from lobkit.mlp import TrainConfig
 from lobkit.placement import (
     FEE_TABLE,
     ZERO_FEES,
+    InadmissibleDistance,
     MarketSnapshot,
     NonpositiveDenominator,
     ToyModel,
@@ -209,7 +220,7 @@ def lifecycles(draw):
         order_id="r",
         side=draw(st.sampled_from(list(Side))),
         insert_ts=10**9,
-        price=5_000,
+        price=draw(st.integers(1_000, 30_000)),
         size=1.0,
         features=draw(feature_vectors(spread, delta)),
         outcome=draw(st.sampled_from(list(Outcome))),
@@ -218,15 +229,21 @@ def lifecycles(draw):
     )
 
 
+def _record_snapshot(rec: OrderLifecycle) -> MarketSnapshot:
+    """The quotes before the record's insertion, rebuilt from its price, side, distance and spread."""
+    z = rec.features
+    bid = rec.price + int(z.delta) if rec.side is Side.BID else int(rec.price - z.delta - z.spread)
+    return MarketSnapshot(best_bid=bid * TICK, best_ask=(bid + int(z.spread)) * TICK, tick_size=TICK)
+
+
 def _per_record_decisions(records, specs, models, fees):
-    """The parent's backtest loop: one-row predicts per record and spec."""
+    """The scalar backtest loop: one-row predicts per record and spec."""
     decisions = {spec.id: [] for spec in specs}
     for rec in records:
         if label_outcome(rec, HORIZON) is None:
             continue
         z = rec.features
-        bid = rec.price + int(z.delta) if rec.side is Side.BID else int(rec.price - z.delta - z.spread)
-        snapshot = MarketSnapshot(best_bid=bid * TICK, best_ask=(bid + int(z.spread)) * TICK, tick_size=TICK)
+        snapshot = _record_snapshot(rec)
         for spec in specs:
             if spec.fill == "exponential":
                 f = min(1.0, models.toy.fill_probability(z.spread + z.delta))
@@ -237,16 +254,102 @@ def _per_record_decisions(records, specs, models, fees):
     return decisions
 
 
+def _router_models(fill_kind, fill=None) -> RouterModels:
+    return RouterModels(
+        toy=ToyModel(amplitude=0.8, decay=0.3, cleanup=2.0),
+        fill=_fill_net(fill_kind) if fill is None else fill,
+        cleanup=_nets()[2],
+        constant_cleanup=2.0,
+    )
+
+
 @pytest.mark.parametrize("fill_kind", ["pooled", "per-regime"])
 @SETTINGS
 @given(records=st.lists(lifecycles(), min_size=1, max_size=30), fees=FEES)
 def test_run_backtest_matches_per_record_reference(fill_kind, records, fees):
     specs = [MODEL_I, MODEL_II, MODEL_III]
-    models = RouterModels(
-        toy=ToyModel(amplitude=0.8, decay=0.3, cleanup=2.0),
-        fill=_fill_net(fill_kind),
-        cleanup=_nets()[2],
-        constant_cleanup=2.0,
-    )
+    models = _router_models(fill_kind)
     report = run_backtest(records, specs, models, fees, HORIZON, TICK)
     assert report.decisions == _per_record_decisions(records, specs, models, fees)
+
+
+@pytest.mark.parametrize("fees", [ZERO_FEES, *FEE_TABLE.values()], ids=lambda fees: f"level{fees.level}")
+@SETTINGS
+@given(records=st.lists(lifecycles(), min_size=1, max_size=30))
+def test_backtest_saved_costs_equal_scalar_path(fees, records):
+    """Same predictions in, the same floats out: every spec's saved costs and decisions are ``==``."""
+    specs = [MODEL_I, MODEL_II, MODEL_III]
+    models = _router_models("pooled")
+    used = [rec for rec in records if label_outcome(rec, HORIZON) is not None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        costs = record_saved_costs(used, specs, models, fees, TICK)
+        report = run_backtest(records, specs, models, fees, HORIZON, TICK)
+    X = feature_matrix(rec.features for rec in used)
+    for spec in specs:
+        fs = models.fill_probabilities(spec.fill, X).tolist()
+        vs = models.cleanup_costs(spec.cleanup, X).tolist()
+        expected = [saved_cost(_record_snapshot(r), int(r.features.delta), fees, f, v) for r, f, v in zip(used, fs, vs)]
+        assert costs[spec.id].tolist() == expected
+        assert report.decisions[spec.id] == [1 if s > 0 else 0 for s in expected]
+
+
+def _filled_record(side, spread, delta, order_id="r"):
+    features = FeatureVector(delta=float(delta), spread=float(spread), aggressiveness=None, **dict.fromkeys(FREE_FIELDS, 0.0))
+    return OrderLifecycle(
+        order_id=order_id, side=side, insert_ts=10**9, price=5_000, size=1.0, features=features,
+        outcome=Outcome.FILLED, outcome_time=0.5, dp_ask_horizon=0.0,
+    )
+
+
+@pytest.mark.parametrize("fill", [1.5, -0.1, math.nan])
+def test_backtest_rejects_fill_outside_unit_interval(fill):
+    records = [_filled_record(Side.BID, 2, 1), _filled_record(Side.ASK, 3, -1)]
+    with pytest.raises(ValueError, match="fill probability"):
+        run_backtest(records, [MODEL_II], _router_models("pooled", fill=_Flat(fill)), ZERO_FEES, HORIZON, TICK)
+    with pytest.raises(ValueError, match="fill probability"):
+        saved_cost(_record_snapshot(records[0]), 1, ZERO_FEES, fill, 0.0)
+
+
+@pytest.mark.parametrize("side", list(Side))
+@pytest.mark.parametrize(
+    ("spread", "delta", "error"),
+    [(3, -3, InadmissibleDistance), (3, -7, InadmissibleDistance), (1, -1, InadmissibleDistance), (0, 1, ValueError)],
+)
+def test_backtest_rejects_what_the_scalar_path_rejects(side, spread, delta, error):
+    """The array checks raise what ``MarketSnapshot`` and ``saved_cost`` raise, naming the first bad record."""
+    records = [_filled_record(side, 2, 0, "ok"), *(_filled_record(side, spread, delta, oid) for oid in ("bad", "later"))]
+    with pytest.raises(error) as raised:
+        run_backtest(records, [MODEL_I, MODEL_III], _router_models("pooled"), ZERO_FEES, HORIZON, TICK)
+    assert type(raised.value) is error and "order bad" in str(raised.value)
+    with pytest.raises(error) as scalar:
+        saved_cost(_record_snapshot(records[1]), delta, ZERO_FEES, 0.5, 0.0)
+    assert type(scalar.value) is error
+
+
+def _reference_row(z: FeatureVector) -> list:
+    """One model row, attribute by attribute: ``FEATURE_COLUMNS``, ``None`` as 0.0."""
+    return [0.0 if getattr(z, name) is None else getattr(z, name) for name in FEATURE_COLUMNS]
+
+
+EDGE_FLOATS = st.one_of(st.floats(-5.0, 5.0), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300]))
+
+
+@st.composite
+def any_feature_vectors(draw):
+    fields = {name: draw(EDGE_FLOATS) for name in FREE_FIELDS}
+    return FeatureVector(
+        delta=draw(EDGE_FLOATS), spread=draw(EDGE_FLOATS), aggressiveness=draw(st.none() | EDGE_FLOATS), **fields
+    )
+
+
+@SETTINGS
+@given(vectors=st.lists(any_feature_vectors(), max_size=12))
+def test_feature_matrix_equals_per_row_stack(vectors):
+    X = feature_matrix(iter(vectors))
+    expected = np.array([_reference_row(z) for z in vectors], dtype=float).reshape(-1, len(FEATURE_COLUMNS))
+    assert X.shape == (len(vectors), len(FEATURE_COLUMNS)) and X.dtype == np.float64
+    assert np.array_equal(X, expected, equal_nan=True)
+    assert np.array_equal(X.view(np.uint64), expected.view(np.uint64))  # -0.0 and NaN bits too
+    if vectors:
+        assert np.array_equal(np.stack([z.to_row() for z in vectors]).view(np.uint64), expected.view(np.uint64))

@@ -15,7 +15,7 @@ from lobkit.fill_model import build_training_matrix
 from lobkit.messages import InstrumentConfig, Level3Message, MessageKind, Side, read_messages, write_messages
 from lobkit.replay import OrderLifecycle, Outcome, track_lifecycles
 from lobkit.synth import GroundTruthConfig, RegimeSpec, TruthRow, generate_flow, read_truth, write_truth
-from lobkit.table import ArtifactInvalid, write_table
+from lobkit.table import INTEGER, NUMBER, ArtifactInvalid, optional_number, write_table
 
 
 def _records():
@@ -178,6 +178,10 @@ def test_write_table_plain_floats_and_empty_none(tmp_path):
     path = tmp_path / "table.csv"
     write_table(path, ("a", "b", "c", "d"), [(np.float64(0.1), None, 3, "x")])
     assert path.read_text().splitlines() == ["a,b,c,d", "0.1,,3,x"]
+    # number columns write an int or a bool as a float, numpy's float as the Python float's repr
+    rows = [(3, None, 4), (np.float64(0.1), 2, 5), (True, np.float64(1e-300), 6), (-0.0, -0.0, 7)]
+    write_table(path, {"n": NUMBER, "o": optional_number(), "i": INTEGER}, rows)
+    assert path.read_text().splitlines() == ["n,o,i", "3.0,,4", "0.1,2.0,5", "1.0,1e-300,6", "-0.0,-0.0,7"]
 
 
 def test_only_aggressiveness_may_be_empty(tmp_path):

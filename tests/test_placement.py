@@ -26,6 +26,7 @@ from lobkit.placement import (
     point_mass_move,
     saved_cost,
 )
+from lobkit.placement import _check_quotes
 
 # the practical example: best bid 19,999.50, one-dollar spread, clean-up 2.00 USD
 EXAMPLE = MarketSnapshot(best_bid=19_999.50, best_ask=20_000.50, tick_size=0.01)
@@ -85,6 +86,43 @@ def test_saved_cost_worked_example_affine_form():
 def test_inadmissible_distance_rejected():
     with pytest.raises(InadmissibleDistance):
         saved_cost(EXAMPLE, -EXAMPLE.spread_ticks, FEE_TABLE[9], 0.5, 10.0)
+
+
+def _scalar_rejection(best_bid, best_ask, tick_size, delta):
+    """The exception type ``MarketSnapshot`` and ``saved_cost`` raise, or None."""
+    try:
+        saved_cost(MarketSnapshot(best_bid, best_ask, tick_size), delta, ZERO_FEES, 0.5, 0.0)
+    except ValueError as exc:
+        return type(exc)
+    return None
+
+
+SPREAD_OFFSETS = [0.0, 5e-7, -5e-7, 1e-6, 2e-6, -2e-6, 0.5, 1.5, 2.5, math.nan]  # the scalar raises OverflowError on inf
+
+
+@pytest.mark.parametrize("tick_size", [0.01, 0.5, 1.0])
+@pytest.mark.parametrize("offset", SPREAD_OFFSETS)
+def test_array_quote_check_rejects_what_the_scalar_path_rejects(tick_size, offset):
+    """``_check_quotes`` and the scalar snapshot and distance rules raise the same type on each entry."""
+    cases = [
+        (bid, (bid + spread + offset) * tick_size, delta)
+        for bid in (0, 7, 12_345)
+        for spread in (-1, 0, 1, 2, 5)
+        for delta in (-6, -5, -2, -1, 0, 1, 3, 1.5)
+    ]
+    for bid, ask, delta in cases:
+        expected = _scalar_rejection(bid * tick_size, ask, tick_size, delta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                _check_quotes(
+                    np.array([5.0, bid]) * tick_size, np.array([7.0 * tick_size, ask]), tick_size,
+                    np.array([0.0, delta]), lambda i: f"entry {i}",
+                )
+            except ValueError as exc:
+                assert type(exc) is expected and str(exc).startswith("entry 1: ")
+            else:
+                assert expected is None
 
 
 def test_break_even_matches_independent_root():
