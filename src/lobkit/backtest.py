@@ -19,7 +19,7 @@ import numpy as np
 from .cleanup import CleanupModel
 from .features import feature_matrix
 from .fill_model import FillModel
-from .messages import Side
+from .messages import BID
 from .placement import (
     _COLUMN,
     FeePolicy,
@@ -180,9 +180,8 @@ def _record_quotes(
     a record the scalar ``MarketSnapshot`` or ``saved_cost`` rejects raises.
     """
     delta, spread = X[:, _COLUMN["delta"]], X[:, _COLUMN["spread"]]
-    bid = Side.BID
     price = np.array([rec.price for rec in records], dtype=float)
-    on_bid = np.array([rec.side is bid for rec in records], dtype=bool)
+    on_bid = np.array([rec.side is BID for rec in records], dtype=bool)
     delta_ticks = np.trunc(delta)
     # non-finite features make NaN quotes (inf - inf, inf * 0), which fail the spread rule
     with np.errstate(invalid="ignore"):

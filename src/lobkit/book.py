@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .messages import Level3Message, MessageKind, Side
+from .messages import ADD, BID, CANCEL, EXECUTE, Level3Message, MessageKind, Side
 
 
 class BookError(Exception):
@@ -82,10 +82,17 @@ class BookState:
     # -- queries ---------------------------------------------------------
 
     def _levels(self, side: Side) -> dict[int, deque[list]]:
-        return self.bids if side is Side.BID else self.asks
+        return self.bids if side is BID else self.asks
 
     def _ladder(self, side: Side) -> list[int]:
-        return self._bid_prices if side is Side.BID else self._ask_prices
+        return self._bid_prices if side is BID else self._ask_prices
+
+    def _locate(self, order_id: str) -> tuple[Side, int]:
+        """(side, price) of a live order."""
+        try:
+            return self._orders[order_id]
+        except KeyError:
+            raise UnknownOrderId(order_id) from None
 
     def best_bid(self) -> int | None:
         return self._bid_prices[-1] if self._bid_prices else None
@@ -95,10 +102,7 @@ class BookState:
 
     def prices(self, side: Side) -> Iterator[int]:
         """The side's occupied prices, best first."""
-        return reversed(self._bid_prices) if side is Side.BID else iter(self._ask_prices)
-
-    def best_price(self, side: Side) -> int | None:
-        return self.best_bid() if side is Side.BID else self.best_ask()
+        return reversed(self._bid_prices) if side is BID else iter(self._ask_prices)
 
     def mid(self) -> float:
         bb, ba = self.best_bid(), self.best_ask()
@@ -119,20 +123,21 @@ class BookState:
         return sum(entry[1] for entry in self.queue_at(side, price))
 
     def best_queue_size(self, side: Side) -> float:
-        price = self.best_price(side)
-        if price is None:
+        """``level_size`` at the side's best price."""
+        if side is BID:
+            levels, ladder, best = self.bids, self._bid_prices, -1
+        else:
+            levels, ladder, best = self.asks, self._ask_prices, 0
+        if not ladder:
             raise EmptySideError(f"no {side.value} liquidity")
-        return self.level_size(side, price)
+        return sum([entry[1] for entry in levels[ladder[best]]])
 
     def contains(self, order_id: str) -> bool:
         return order_id in self._orders
 
     def order_info(self, order_id: str) -> tuple[Side, int, float]:
         """(side, price, remaining) of a live order."""
-        try:
-            side, price = self._orders[order_id]
-        except KeyError:
-            raise UnknownOrderId(order_id) from None
+        side, price = self._locate(order_id)
         for entry in self._levels(side)[price]:
             if entry[0] == order_id:
                 return side, price, entry[1]
@@ -141,10 +146,10 @@ class BookState:
     def priority_volume(self, order_id: str) -> float:
         """Size resting at strictly better prices plus same-price size ahead,
         summed with ``math.fsum`` (correctly rounded, in any order)."""
-        side, price, _ = self.order_info(order_id)
+        side, price = self._locate(order_id)
         levels, ladder = self._levels(side), self._ladder(side)
         i = bisect.bisect_left(ladder, price)
-        better = ladder[i + 1 :] if side is Side.BID else ladder[:i]
+        better = ladder[i + 1 :] if side is BID else ladder[:i]
         ahead = [entry[1] for p in better for entry in levels[p]]
         for entry in levels[price]:
             if entry[0] == order_id:
@@ -158,7 +163,7 @@ class BookState:
             raise UnknownOrderId(f"no level at {price}")
         ladder = self._ladder(side)
         i = bisect.bisect_left(ladder, price)
-        return len(ladder) - i if side is Side.BID else i + 1
+        return len(ladder) - i if side is BID else i + 1
 
     def ahead_in_queue(self, order_id: str) -> list[tuple[str, float]]:
         """FIFO entries ahead of an order at its own price level."""
@@ -178,9 +183,10 @@ class BookState:
         if self.last_seq is not None and msg.seq != self.last_seq + 1 and not allow_gap:
             raise SequenceGap(self.last_seq + 1, msg.seq)
 
-        if msg.kind is MessageKind.ADD:
+        kind = msg.kind
+        if kind is ADD:
             effect = self._apply_add(msg)
-        elif msg.kind is MessageKind.CANCEL:
+        elif kind is CANCEL:
             effect = self._apply_cancel(msg)
         else:
             effect = self._apply_execute(msg)
@@ -190,7 +196,7 @@ class BookState:
     def _apply_add(self, msg: Level3Message) -> ApplyEffect:
         if msg.order_id in self._orders:
             raise BookError(f"duplicate order id {msg.order_id}")
-        if msg.side is Side.BID:
+        if msg.side is BID:
             ba = self.best_ask()
             if ba is not None and msg.price >= ba:
                 raise CrossedBook(f"bid {msg.price} >= best ask {ba}")
@@ -204,15 +210,23 @@ class BookState:
             bisect.insort(self._ladder(msg.side), msg.price)
         levels[msg.price].append([msg.order_id, msg.size])
         self._orders[msg.order_id] = (msg.side, msg.price)
-        return ApplyEffect(MessageKind.ADD, msg.order_id, msg.side, msg.price, added_size=msg.size)
+        return ApplyEffect(ADD, msg.order_id, msg.side, msg.price, added_size=msg.size)
 
     def _apply_cancel(self, msg: Level3Message) -> ApplyEffect:
-        side, price, remaining = self.order_info(msg.order_id)
-        self._remove(side, price, msg.order_id)
-        return ApplyEffect(MessageKind.CANCEL, msg.order_id, side, price, cancelled_size=remaining)
+        order_id = msg.order_id
+        side, price = self._locate(order_id)
+        queue = self._levels(side)[price]
+        for i, entry in enumerate(queue):
+            if entry[0] == order_id:
+                break
+        del queue[i]
+        if not queue:
+            self._drop_level(side, price)
+        del self._orders[order_id]
+        return ApplyEffect(CANCEL, order_id, side, price, cancelled_size=entry[1])
 
     def _apply_execute(self, msg: Level3Message) -> ApplyEffect:
-        side, price, _ = self.order_info(msg.order_id)
+        side, price = self._locate(msg.order_id)
         queue = self._levels(side)[price]
         remaining = msg.exec_size
         fills: list[Fill] = []
@@ -231,17 +245,7 @@ class BookState:
         # sub-epsilon residue is float noise from telescoping subtractions,
         # not real unfilled size
         unconsumed = remaining if remaining > 1e-9 else 0.0
-        return ApplyEffect(MessageKind.EXECUTE, msg.order_id, side, price, fills=fills, unconsumed=unconsumed)
-
-    def _remove(self, side: Side, price: int, order_id: str) -> None:
-        queue = self._levels(side)[price]
-        for i, entry in enumerate(queue):
-            if entry[0] == order_id:
-                del queue[i]
-                break
-        if not queue:
-            self._drop_level(side, price)
-        del self._orders[order_id]
+        return ApplyEffect(EXECUTE, msg.order_id, side, price, fills=fills, unconsumed=unconsumed)
 
     def _drop_level(self, side: Side, price: int) -> None:
         del self._levels(side)[price]

@@ -9,20 +9,16 @@ realized volatility).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from operator import attrgetter
-from statistics import median
 from typing import Iterable
 
 import numpy as np
 
 from .book import BookState, EmptySideError
-from .messages import MessageKind, Side
-
-
-# looked up once: on Python 3.11 each ``Side.ASK`` runs ``EnumType.__getattr__``, as slow as hashing a member
-_ASK, _ADD = Side.ASK, MessageKind.ADD
+from .messages import ADD, ASK, BID, MessageKind, Side
 
 
 class SpreadTooNarrow(ValueError):
@@ -106,10 +102,11 @@ class RollingWindows:
     sizes signed (add +, cancel/execute -), ``traded[s]`` the sizes traded
     against a resting side, and ``gaps``/``squared_returns`` the seconds and
     the squared log return between consecutive window trades.  The per-side
-    keys are pairs indexed by ``s = side is Side.ASK`` (bid first), which
-    costs no enum hashing.  Every key is in push order, so an eviction drops
-    the oldest entry of the evicted item's keys and each key always matches
-    its window.
+    keys are pairs indexed by ``s = side is ASK`` (bid first), which costs
+    no enum hashing.  Every key is in push order, so an eviction drops the
+    oldest entry of the evicted item's keys and each key always matches its
+    window.  ``sorted_gaps`` holds the same values as ``gaps`` in ascending
+    order, for the median.
     """
 
     def __init__(self, event_window: int = 50, trade_window: int = 50):
@@ -119,6 +116,7 @@ class RollingWindows:
         self.signed: tuple[deque[float], deque[float]] = (deque(), deque())
         self.traded: tuple[deque[float], deque[float]] = (deque(), deque())
         self.gaps: deque[float] = deque()
+        self.sorted_gaps: list[float] = []
         self.squared_returns: deque[float] = deque()
         self.trades_seen = 0
         self.start_ts: int | None = None
@@ -126,13 +124,13 @@ class RollingWindows:
     def push_event(self, side: Side, kind: MessageKind, size: float) -> None:
         if len(self.events) == self.events.maxlen:
             old_side, old_kind, _ = self.events.popleft()
-            old_ask = old_side is _ASK
+            old_ask = old_side is ASK
             self.signed[old_ask].popleft()
-            if old_kind is _ADD:
+            if old_kind is ADD:
                 self.added[old_ask].popleft()
         self.events.append((side, kind, size))
-        ask = side is _ASK
-        if kind is _ADD:
+        ask = side is ASK
+        if kind is ADD:
             self.added[ask].append(size)
             self.signed[ask].append(size)
         else:
@@ -140,18 +138,21 @@ class RollingWindows:
 
     def push_trade(self, ts: int, resting_side: Side, size: float, price: int) -> None:
         if len(self.trades) == self.trades.maxlen:
-            self.traded[self.trades.popleft()[1] is _ASK].popleft()
+            self.traded[self.trades.popleft()[1] is ASK].popleft()
             if self.gaps:
-                self.gaps.popleft()
+                sorted_gaps = self.sorted_gaps
+                del sorted_gaps[bisect_left(sorted_gaps, self.gaps.popleft())]
                 self.squared_returns.popleft()
         if self.trades:
             last_ts, _, _, last_price = self.trades[-1]
             # difference of the float timestamps: the median equals np.median(np.diff(stamps))
-            self.gaps.append((float(ts) - float(last_ts)) / 1e9)
+            gap = (float(ts) - float(last_ts)) / 1e9
+            self.gaps.append(gap)
+            insort(self.sorted_gaps, gap)
             log_return = math.log(price) - math.log(last_price)
             self.squared_returns.append(log_return * log_return)
         self.trades.append((ts, resting_side, size, price))
-        self.traded[resting_side is _ASK].append(size)
+        self.traded[resting_side is ASK].append(size)
         self.trades_seen += 1
 
     def note_start(self, ts: int) -> None:
@@ -166,7 +167,7 @@ class RollingWindows:
 
 def distance_at_insertion(side: Side, price: int, best_bid: int | None, best_ask: int | None) -> int:
     """Ticks between the order price and the same-side best before insertion."""
-    if side is Side.BID:
+    if side is BID:
         if best_bid is None:
             raise EmptySideError("no best bid before insertion")
         return best_bid - price
@@ -241,34 +242,38 @@ def assemble_features(
     else:
         time_since_trade = (ts - (windows.start_ts if windows.start_ts is not None else ts)) / 1e9
         partial = True
-    if windows.gaps:
-        median_dur = median(windows.gaps)
+    gaps = windows.sorted_gaps
+    if gaps:
+        # statistics.median of the window's gaps
+        half = len(gaps) // 2
+        median_dur = gaps[half] if len(gaps) % 2 else (gaps[half - 1] + gaps[half]) / 2
         # root mean squared log return of consecutive trade prices, in percent per trade
         vol = 100.0 * math.sqrt(math.fsum(windows.squared_returns) / len(windows.squared_returns))
     else:
         median_dur = vol = 0.0
         partial = True
 
-    best_imb = best_imbalance(book_after.best_queue_size(Side.BID), book_after.best_queue_size(Side.ASK))
+    best_imb = best_imbalance(book_after.best_queue_size(BID), book_after.best_queue_size(ASK))
     added = add_bid + add_ask  # the current order included
     if added <= 0:
         raise ValueError("window holds no added volume; push the order first")
 
+    # positional, in field order
     return FeatureVector(
-        delta=float(delta),
-        spread=float(spread),
-        spread_after=float(spread_after),
-        best_imbalance=best_imb,
-        add_imbalance=(add_bid - add_ask) / added,
-        aggressiveness=omega,
-        prior_volume=book_after.priority_volume(order_id),
-        size=float(size),
-        signed_flow=signed_flow,
-        flow_imbalance=signed_flow / flow_denom if flow_denom > 0 else 0.0,
-        signed_traded=signed_traded,
-        traded_imbalance=signed_traded / traded_total if traded_total > 0 else 0.0,
-        time_since_trade=time_since_trade,
-        median_trade_duration=median_dur,
-        volatility=vol,
-        partial_window=partial,
+        float(delta),
+        float(spread),
+        float(spread_after),
+        best_imb,
+        (add_bid - add_ask) / added,
+        omega,
+        book_after.priority_volume(order_id),
+        float(size),
+        signed_flow,
+        signed_flow / flow_denom if flow_denom > 0 else 0.0,
+        signed_traded,
+        signed_traded / traded_total if traded_total > 0 else 0.0,
+        time_since_trade,
+        median_dur,
+        vol,
+        partial,
     )

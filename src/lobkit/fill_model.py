@@ -79,14 +79,17 @@ class CensoringModel:
             return f"aggressive_{_bucket(self.omega_edges, 0.0 if omega is None else omega)}"
         return f"passive_{_bucket(self.delta_edges, delta)}"
 
-    def survival_at(self, delta: float, omega: float | None, t: float) -> float:
-        key = self.stratum_of(delta, omega)
+    def curve_of(self, key: str) -> SurvivalCurve:
+        """A stratum's curve, or the pooled one for a stratum unseen when fitting."""
         curve = self.curves.get(key)
         if curve is None:
-            curve = self.curves.get("pooled")  # stratum unseen when fitting
+            curve = self.curves.get("pooled")
         if curve is None:
             raise KeyError(f"no censoring curve for stratum {key!r} and no pooled fallback")
-        return float(curve.at(t))
+        return curve
+
+    def survival_at(self, delta: float, omega: float | None, t: float) -> float:
+        return float(self.curve_of(self.stratum_of(delta, omega)).at(t))
 
 
 DEFAULT_OMEGA_EDGES = [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0 + 1e-9]
@@ -145,27 +148,32 @@ def ipcw_weights(
     """
     if censoring is None:
         censoring = censoring_survival([Observation(r.outcome_time, int(r.outcome)) for r in records])
+    stratified = isinstance(censoring, CensoringModel)
     weights = np.zeros(len(records))
     labels = np.zeros(len(records))
-    floored = 0
+    t_eval = np.zeros(len(records))
+    # the weighted records of each stratum, in record order; one curve evaluation per stratum
+    strata: dict[str, list[int]] = {}
+    filled = Outcome.FILLED
     for i, rec in enumerate(records):
-        executed_at = rec.outcome_time if rec.outcome is Outcome.FILLED else None
+        executed_at = rec.outcome_time if rec.outcome is filled else None
         if executed_at is not None and executed_at <= horizon:
             labels[i] = 1.0
-            t_eval = executed_at
+            t_eval[i] = executed_at
         elif rec.outcome_time > horizon or (executed_at is not None):
             # survived through the horizon (death or censoring came later)
-            t_eval = horizon
+            t_eval[i] = horizon
         else:
             continue  # censored (cancel or feed loss) before min(E, T): weight 0
-        if isinstance(censoring, CensoringModel):
-            g = censoring.survival_at(rec.features.delta, rec.features.aggressiveness, t_eval)
-        else:
-            g = float(censoring.at(t_eval))
-        if g < floor:
-            g = floor
-            floored += 1
-        weights[i] = 1.0 / g
+        key = censoring.stratum_of(rec.features.delta, rec.features.aggressiveness) if stratified else ""
+        strata.setdefault(key, []).append(i)
+    floored = 0
+    for key, rows in strata.items():
+        g = (censoring.curve_of(key) if stratified else censoring).at(t_eval[rows])
+        low = g < floor
+        g[low] = floor
+        floored += int(np.count_nonzero(low))
+        weights[rows] = 1.0 / g
     return IPCWResult(weights=weights, labels=labels, floored=floored)
 
 

@@ -23,13 +23,19 @@ class Side(Enum):
 
     @property
     def opposite(self) -> "Side":
-        return Side.ASK if self is Side.BID else Side.BID
+        return ASK if self is BID else BID
 
 
 class MessageKind(Enum):
     ADD = "add"
     CANCEL = "cancel"
     EXECUTE = "execute"
+
+
+# the members as module constants, for the hot paths: on Python 3.11 each
+# ``Side.ASK``-style lookup runs ``EnumType.__getattr__``
+BID, ASK = Side.BID, Side.ASK
+ADD, CANCEL, EXECUTE = MessageKind.ADD, MessageKind.CANCEL, MessageKind.EXECUTE
 
 
 @dataclass(slots=True)
@@ -53,9 +59,9 @@ class Level3Message:
     def validate(self) -> None:
         if self.price <= 0:
             raise ValueError(f"price must be positive ticks, got {self.price}")
-        if self.kind is MessageKind.ADD and self.size <= 0:
+        if self.kind is ADD and self.size <= 0:
             raise ValueError(f"add size must be > 0, got {self.size}")
-        if self.kind is MessageKind.EXECUTE and self.exec_size <= 0:
+        if self.kind is EXECUTE and self.exec_size <= 0:
             raise ValueError(f"exec_size must be > 0, got {self.exec_size}")
 
 
@@ -105,7 +111,7 @@ MESSAGE_FIELDS = {
 
 def _message_row(m: Level3Message) -> tuple:
     return (
-        m.seq, m.ts, m.kind, m.order_id, m.side, m.price, m.size, m.exec_size if m.kind is MessageKind.EXECUTE else None
+        m.seq, m.ts, m.kind, m.order_id, m.side, m.price, m.size, m.exec_size if m.kind is EXECUTE else None
     )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .book import BookState, CrossedBook, EmptySideError, UnknownOrderId
 from .features import FeatureVector, RollingWindows, assemble_features
-from .messages import InstrumentConfig, Level3Message, MessageKind, Side
+from .messages import ADD, CANCEL, EXECUTE, InstrumentConfig, Level3Message, Side
 
 
 class EmptyStream(ValueError):
@@ -142,7 +142,7 @@ def track_lifecycles(stream: Iterable[Level3Message], cfg: InstrumentConfig) -> 
             flush_measurements(cutoff, drop_after=True)
             for rec in list(live.values()):
                 close(rec, Outcome.CENSORED, cutoff)
-        else:
+        elif pending and pending[0][0] < msg.ts:
             flush_measurements(msg.ts - 1)
 
         # snapshot the pre-insertion state for feature computation
@@ -164,8 +164,9 @@ def track_lifecycles(stream: Iterable[Level3Message], cfg: InstrumentConfig) -> 
             prev_ts = msg.ts
             continue
 
-        if effect.kind is MessageKind.ADD:
-            windows.push_event(effect.side, MessageKind.ADD, effect.added_size)
+        kind = effect.kind
+        if kind is ADD:
+            windows.push_event(effect.side, ADD, effect.added_size)
             marketable = (
                 last_exec is not None
                 and last_exec[0] == msg.ts
@@ -178,15 +179,15 @@ def track_lifecycles(stream: Iterable[Level3Message], cfg: InstrumentConfig) -> 
                 live[msg.order_id] = tracked
                 records.append(tracked)
                 heapq.heappush(pending, (msg.ts + horizon_ns, len(records) - 1))
-        elif effect.kind is MessageKind.CANCEL:
-            windows.push_event(effect.side, MessageKind.CANCEL, effect.cancelled_size)
+        elif kind is CANCEL:
+            windows.push_event(effect.side, CANCEL, effect.cancelled_size)
             rec = live.get(msg.order_id)
             if rec is not None:
                 close(rec, Outcome.CANCELLED, msg.ts)
         else:
             consumed = sum(f.size for f in effect.fills)
             if consumed > 0:
-                windows.push_event(effect.side, MessageKind.EXECUTE, consumed)
+                windows.push_event(effect.side, EXECUTE, consumed)
                 windows.push_trade(msg.ts, effect.side, consumed, effect.price)
                 diag.trade_count += 1
                 diag.trade_volume += consumed

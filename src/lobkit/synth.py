@@ -27,7 +27,7 @@ import heapq
 import numpy as np
 
 from .book import BookState
-from .messages import Level3Message, MessageKind, Side
+from .messages import ADD, ASK, BID, CANCEL, EXECUTE, Level3Message, MessageKind, Side
 from .table import INTEGER, NUMBER, TEXT, read_table, write_table
 
 
@@ -183,8 +183,8 @@ class _Generator:
         self.counter = 0
         self.heap: list[tuple[float, int, int, tuple]] = []
         self.regime_idx = 0
-        self.wall_id = {Side.BID: "", Side.ASK: ""}
-        self.wall_price = {Side.BID: 0, Side.ASK: 0}
+        self.wall_id = {BID: "", ASK: ""}
+        self.wall_price = {BID: 0, ASK: 0}
         self.next_id = 0
         self.gap_pending = False
         self.skipped_moves = 0
@@ -226,49 +226,49 @@ class _Generator:
 
     def _place_wall(self, t: float, side: Side, price: int) -> None:
         oid = self._fresh_id("w")
-        self._emit(t, MessageKind.ADD, oid, side, price, size=self.cfg.wall_size)
+        self._emit(t, ADD, oid, side, price, size=self.cfg.wall_size)
         self.wall_id[side] = oid
         self.wall_price[side] = price
 
     def _move_walls(self, t: float, direction: int) -> None:
-        new_bid = self.wall_price[Side.BID] + direction
-        new_ask = self.wall_price[Side.ASK] + direction
+        new_bid = self.wall_price[BID] + direction
+        new_ask = self.wall_price[ASK] + direction
         if new_bid <= 0:
             self.skipped_moves += 1
             return
         # moving down may not cross resting bids; moving up may not cross asks
-        blocking_bid = self._best_non_wall(Side.BID)
-        blocking_ask = self._best_non_wall(Side.ASK)
+        blocking_bid = self._best_non_wall(BID)
+        blocking_ask = self._best_non_wall(ASK)
         if direction < 0 and blocking_bid is not None and new_ask <= blocking_bid:
             self.skipped_moves += 1
             return
         if direction > 0 and blocking_ask is not None and new_bid >= blocking_ask:
             self.skipped_moves += 1
             return
-        first, second = (Side.ASK, Side.BID) if direction > 0 else (Side.BID, Side.ASK)
+        first, second = (ASK, BID) if direction > 0 else (BID, ASK)
         for side in (first, second):
-            price = new_bid if side is Side.BID else new_ask
-            self._emit(t, MessageKind.CANCEL, self.wall_id[side], side, self.wall_price[side])
+            price = new_bid if side is BID else new_ask
+            self._emit(t, CANCEL, self.wall_id[side], side, self.wall_price[side])
             self._place_wall(t, side, price)
 
     def _best_non_wall(self, side: Side) -> int | None:
         """Best resting price on a side ignoring that side's wall."""
         wall = self.wall_id[side]
-        levels = self.book.bids if side is Side.BID else self.book.asks
+        levels = self.book.bids if side is BID else self.book.asks
         for price in self.book.prices(side):
             if any(e[0] != wall for e in levels[price]):
                 return price
         return None
 
     def _refresh_wall(self, t: float, side: Side) -> None:
-        self._emit(t, MessageKind.CANCEL, self.wall_id[side], side, self.wall_price[side])
+        self._emit(t, CANCEL, self.wall_id[side], side, self.wall_price[side])
         self._place_wall(t, side, self.wall_price[side])
 
     # -- events ---------------------------------------------------------------
 
     def _on_trade(self, t: float) -> None:
         reg = self.regime()
-        side = Side.ASK if self.rng.random() < reg.taker_buy_fraction else Side.BID
+        side = ASK if self.rng.random() < reg.taker_buy_fraction else BID
         wall = self.wall_id[side]
         price = self.wall_price[side]
         queue = self.book.queue_at(side, price)
@@ -281,7 +281,7 @@ class _Generator:
         if size <= 0:
             self.skipped_trades += 1
             return
-        self._emit(t, MessageKind.EXECUTE, wall, side, price, exec_size=size)
+        self._emit(t, EXECUTE, wall, side, price, exec_size=size)
         queue = self.book.queue_at(side, price)
         if not queue or queue[0][0] != wall:
             return
@@ -301,7 +301,7 @@ class _Generator:
         probs = None if weights is None else np.asarray(weights) / np.sum(weights)
         for _ in range(4):
             delta = int(self.rng.choice(cfg.delta_choices, p=probs))
-            if side is Side.BID:
+            if side is BID:
                 price = best_bid - delta
                 crossing = price >= best_ask
             else:
@@ -316,9 +316,9 @@ class _Generator:
                 continue  # one subject per best queue
             oid = self._fresh_id("s")
             size = float(self.rng.uniform(*cfg.size_range))
-            self._emit(t, MessageKind.ADD, oid, side, price, size=size)
-            q_bid = self.book.best_queue_size(Side.BID)
-            q_ask = self.book.best_queue_size(Side.ASK)
+            self._emit(t, ADD, oid, side, price, size=size)
+            q_bid = self.book.best_queue_size(BID)
+            q_ask = self.book.best_queue_size(ASK)
             imbalance = (q_bid - q_ask) / (q_bid + q_ask)
             lam1, lam2 = hazard_rates(self.cfg, delta, spread, imbalance, self.regime_idx)
             total = lam1 + lam2
@@ -349,13 +349,13 @@ class _Generator:
             return
         side, price, remaining = self.book.order_info(order_id)
         if not executed:
-            self._emit(t, MessageKind.CANCEL, order_id, side, price)
+            self._emit(t, CANCEL, order_id, side, price)
             return
         ahead = self.book.ahead_in_queue(order_id)
         exec_size = sum(size for _, size in ahead) + remaining
         head = ahead[0][0] if ahead else order_id
         wall_consumed = any(oid == self.wall_id[side] for oid, _ in ahead)
-        self._emit(t, MessageKind.EXECUTE, head, side, price, exec_size=exec_size)
+        self._emit(t, EXECUTE, head, side, price, exec_size=exec_size)
         if wall_consumed:
             self._place_wall(t, side, price)
 
@@ -365,27 +365,27 @@ class _Generator:
         best_ask = self.book.best_ask()
         if best_bid is None or best_ask is None:
             return
-        side = Side.BID if self.rng.random() < 0.5 else Side.ASK
+        side = BID if self.rng.random() < 0.5 else ASK
         depth = int(self.rng.integers(cfg.noise_depth_range[0], cfg.noise_depth_range[1] + 1))
-        price = best_bid - depth if side is Side.BID else best_ask + depth
+        price = best_bid - depth if side is BID else best_ask + depth
         if price <= 0 or self.book.queue_at(side, price):
             return
         oid = self._fresh_id("n")
-        self._emit(t, MessageKind.ADD, oid, side, price, size=float(self.rng.uniform(*cfg.size_range)))
+        self._emit(t, ADD, oid, side, price, size=float(self.rng.uniform(*cfg.size_range)))
         self._push(t + float(self.rng.exponential(1.0 / cfg.noise_cancel_rate)), _NOISE_CANCEL, (oid,))
 
     def _on_noise_cancel(self, t: float, order_id: str) -> None:
         if self.book.contains(order_id):
             side, price, _ = self.book.order_info(order_id)
-            self._emit(t, MessageKind.CANCEL, order_id, side, price)
+            self._emit(t, CANCEL, order_id, side, price)
 
     # -- main loop --------------------------------------------------------------
 
     def run(self) -> tuple[list[Level3Message], list[TruthRow]]:
         cfg = self.cfg
         reg = self.regime()
-        self._place_wall(0.0, Side.BID, cfg.initial_bid)
-        self._place_wall(0.0, Side.ASK, cfg.initial_bid + reg.spread)
+        self._place_wall(0.0, BID, cfg.initial_bid)
+        self._place_wall(0.0, ASK, cfg.initial_bid + reg.spread)
 
         def arm(kind: int, rate: float, now: float) -> None:
             if rate > 0:
@@ -431,11 +431,11 @@ class _Generator:
                 new = self.regime()
                 self._push(t + new.duration, _SWITCH)
                 # retarget the ask wall to the new spread when it stays uncrossed
-                target_ask = self.wall_price[Side.BID] + new.spread
+                target_ask = self.wall_price[BID] + new.spread
                 best_bid = self.book.best_bid()
-                if best_bid is not None and target_ask > best_bid and target_ask != self.wall_price[Side.ASK]:
-                    self._emit(t, MessageKind.CANCEL, self.wall_id[Side.ASK], Side.ASK, self.wall_price[Side.ASK])
-                    self._place_wall(t, Side.ASK, target_ask)
+                if best_bid is not None and target_ask > best_bid and target_ask != self.wall_price[ASK]:
+                    self._emit(t, CANCEL, self.wall_id[ASK], ASK, self.wall_price[ASK])
+                    self._place_wall(t, ASK, target_ask)
         return self.messages, self.truth
 
 

@@ -2,10 +2,10 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lobkit.book import BookError, BookState, CrossedBook, SequenceGap, UnknownOrderId
+from lobkit.book import BookError, BookState, CrossedBook, EmptySideError, SequenceGap, UnknownOrderId
 from lobkit.messages import Level3Message, MessageKind, Side
 
 
@@ -229,6 +229,11 @@ class ListBook:
     def level_size(self, side, price):
         return sum(o[3] for o in self.orders if o[1] is side and o[2] == price)
 
+    def ahead(self, order):
+        """(order_id, remaining) of the entries ahead of an order at its level."""
+        _, side, price, _ = order
+        return [(o[0], o[3]) for o in self.orders[: self.orders.index(order)] if o[1] is side and o[2] == price]
+
     def priority_volume(self, order):
         _, side, price, _ = order
         ahead = self.orders[: self.orders.index(order)]
@@ -289,6 +294,25 @@ BOOK_OPS = st.lists(
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(ops=BOOK_OPS)
+# cancels behind the head of a queue, which the drawn streams almost never reach: the middle and
+# the tail of a three-deep bid level, the tail of a two-deep ask level, then a sweep of what is left
+@example(
+    ops=[
+        (op, False, False)
+        for op in (
+            (MessageKind.ADD, "o1", Side.BID, 100, 1.0),
+            (MessageKind.ADD, "o2", Side.BID, 100, 2.0),
+            (MessageKind.ADD, "o3", Side.BID, 100, 3.0),
+            (MessageKind.ADD, "o4", Side.ASK, 102, 1.5),
+            (MessageKind.ADD, "o5", Side.ASK, 102, 2.5),
+            (MessageKind.CANCEL, "o2"),
+            (MessageKind.CANCEL, "o5"),
+            (MessageKind.ADD, "o6", Side.BID, 100, 0.5),
+            (MessageKind.CANCEL, "o6"),
+            (MessageKind.EXECUTE, "o1", 2.0),
+        )
+    ]
+)
 def test_book_matches_list_reference(ops):
     book, ref = BookState(), ListBook()
     for (kind, order_id, *rest), skip, allow_gap in ops:
@@ -318,6 +342,12 @@ def test_book_matches_list_reference(ops):
             assert sorted(book.bids if side is Side.BID else book.asks, reverse=side is Side.BID) == prices
             assert [book.level_size(side, p) for p in prices] == [ref.level_size(side, p) for p in prices]
             assert [book.level_rank(side, p) for p in prices] == list(range(1, len(prices) + 1))
+            if prices:
+                assert book.best_queue_size(side) == ref.level_size(side, prices[0])
+            else:
+                with pytest.raises(EmptySideError):
+                    book.best_queue_size(side)
         for order in ref.orders:
             assert book.order_info(order[0]) == (order[1], order[2], order[3])
+            assert book.ahead_in_queue(order[0]) == ref.ahead(order)
             assert book.priority_volume(order[0]) == ref.priority_volume(order)

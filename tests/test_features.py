@@ -329,6 +329,24 @@ def _quoted_book():
          ("trade", 3, ASK, 2.5, 999)],
     m_events=3, m_trades=3, started=True,
 )
+# equal gaps evicted from a full trade window, then a gap unlike the newest: one gap (two trades),
+# two gaps (three trades: the even-length median) and three gaps (four trades)
+@example(
+    ops=[("event", BID, ADD, 1.0), ("trade", 0, ASK, 1.0, 1000), ("trade", 3, BID, 1.0, 1001),
+         ("trade", 3, ASK, 1.0, 1000), ("trade", 8, BID, 1.0, 1002)],
+    m_events=1, m_trades=2, started=True,
+)
+@example(
+    ops=[("event", BID, ADD, 1.0), ("trade", 0, ASK, 1.0, 1000), ("trade", 5, BID, 1.0, 1001),
+         ("trade", 5, ASK, 1.0, 1000), ("trade", 7, BID, 1.0, 1002), ("trade", 3, ASK, 1.0, 1001)],
+    m_events=1, m_trades=3, started=True,
+)
+@example(
+    ops=[("event", BID, ADD, 1.0), ("trade", 0, ASK, 1.0, 1000), ("trade", 4, BID, 1.0, 1001),
+         ("trade", 4, ASK, 1.0, 1000), ("trade", 4, BID, 1.0, 1002), ("trade", 9, ASK, 1.0, 1001),
+         ("trade", 2, BID, 1.0, 999), ("trade", 6, ASK, 1.0, 1000)],
+    m_events=1, m_trades=4, started=True,
+)
 def test_window_features_match_reference(ops, m_events, m_trades, started):
     windows = RollingWindows(m_events, m_trades)
     start_ts = 1_000 if started else None

@@ -208,6 +208,64 @@ def test_weight_floor_flagged():
     assert res.weights[-1] == pytest.approx(1 / 0.05)
 
 
+def _ipcw_reference(records, horizon, censoring, floor):
+    """(weights, floored) one record at a time, each ``G`` a scalar curve evaluation."""
+    weights, floored = [], 0
+    for rec in records:
+        filled = rec.outcome is Outcome.FILLED
+        if filled and rec.outcome_time <= horizon:
+            t_eval = rec.outcome_time
+        elif rec.outcome_time > horizon or filled:
+            t_eval = horizon
+        else:
+            weights.append(0.0)
+            continue
+        if isinstance(censoring, CensoringModel):
+            g = censoring.survival_at(rec.features.delta, rec.features.aggressiveness, t_eval)
+        else:
+            g = float(censoring.at(t_eval))
+        if g < floor:
+            g = floor
+            floored += 1
+        weights.append(1.0 / g)
+    return weights, floored
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_ipcw_per_stratum_equals_per_record_reference(seed):
+    """Weights and the floored count equal a per-record evaluation bit for bit:
+    fitted strata, thin strata on the pooled curve, strata unseen when fitting,
+    and an unstratified curve."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for i in range(int(rng.integers(1, 120))):
+        delta = float(rng.choice([-3.0, -1.0, 0.0, 1.0, 2.0, 5.0, 9.0]))
+        omega = float(rng.uniform(0.0, 1.0)) if delta < 0 and rng.random() < 0.8 else None
+        t = float(np.round(rng.exponential(0.8) * 8) / 8 + 0.05)
+        outcome = Outcome(int(rng.choice([0, 1, 2], p=[0.2, 0.4, 0.4])))
+        records.append(_record(t, outcome, delta=delta, oid=f"r{i}", omega=omega))
+    horizon = float(rng.choice([0.5, 1.0, 1.05]))
+    floor = float(rng.choice([0.01, 0.3, 0.6]))
+    fitted_on = records[: max(1, len(records) // 2)]  # the rest may fall in strata unseen when fitting
+    models = [
+        stratified_censoring_survival(fitted_on, min_count=int(rng.integers(1, 12))),
+        censoring_survival([Observation(r.outcome_time, int(r.outcome)) for r in fitted_on]),
+    ]
+    for censoring in models:
+        res = ipcw_weights(records, horizon, censoring, floor=floor)
+        weights, floored = _ipcw_reference(records, horizon, censoring, floor)
+        assert res.weights.tobytes() == np.asarray(weights).tobytes()
+        assert res.floored == floored
+
+
+def test_ipcw_without_a_curve_for_a_stratum_raises_key_error():
+    records = [_record(0.4, Outcome.FILLED, delta=2.0, oid="p"), _record(0.3, Outcome.FILLED, delta=0.0, oid="b")]
+    model = stratified_censoring_survival(records[:1], delta_edges=[0.0, 10.0], min_count=1)
+    del model.curves["pooled"]
+    with pytest.raises(KeyError, match="'at_best' and no pooled fallback"):
+        ipcw_weights(records, horizon=1.0, censoring=model)
+
+
 # ---------------------------------------------------------------------------
 # Training wrapper
 # ---------------------------------------------------------------------------
