@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import heapq
 
@@ -171,11 +171,57 @@ def true_fill_probability(
 _ARRIVE, _MOVE, _TRADE, _DEATH, _NOISE_ARRIVE, _NOISE_CANCEL, _GAP, _SWITCH = range(8)
 
 
+def _check_draws(config: GroundTruthConfig) -> None:
+    """The argument checks numpy's ``choice``, ``uniform`` and ``integers`` made on
+    every draw, made once, with a ``ValueError`` naming the config field."""
+    choices, weights = config.delta_choices, config.delta_weights
+    if not choices:
+        raise ValueError("delta_choices is empty")
+    if weights is not None:
+        if len(weights) != len(choices):
+            raise ValueError(f"delta_weights has {len(weights)} weights for {len(choices)} delta_choices")
+        if not all(math.isfinite(w) and w >= 0 for w in weights) or not 0 < sum(weights) < math.inf:
+            raise ValueError(f"delta_weights must be finite, non-negative and not all zero, got {weights}")
+    for name in ("size_range", "trade_size_range"):
+        lo, hi = getattr(config, name)
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ValueError(f"{name} must be finite with low <= high, got {(lo, hi)}")
+    lo, hi = config.noise_depth_range
+    if not (isinstance(lo, (int, np.integer)) and isinstance(hi, (int, np.integer)) and lo <= hi):
+        raise ValueError(f"noise_depth_range must be integers with low <= high, got {(lo, hi)}")
+
+
+def delta_draw(rng: np.random.Generator, choices: Sequence[int], weights: Sequence[float] | None) -> Callable[[], int]:
+    """Draws of ``int(rng.choice(choices, p=weights / sum(weights)))``: the same
+    bit-generator values, taken in numpy's order, without its per-call wrapper."""
+    deltas = [int(d) for d in np.asarray(choices)]
+    if weights is None:
+        integers, n = rng.integers, len(deltas)
+        return lambda: deltas[integers(n)]
+    # numpy's own cdf: normalized p, cumulated, divided by its last entry
+    cdf = (np.asarray(weights) / np.sum(weights)).cumsum()
+    cdf /= cdf[-1]
+    cdf, random = cdf.tolist(), rng.random
+    return lambda: deltas[bisect.bisect_right(cdf, random())]  # searchsorted(side="right")
+
+
+def uniform_draw(rng: np.random.Generator, low: float, high: float) -> Callable[[], float]:
+    """Draws of ``float(rng.uniform(low, high))``, which is ``low + (high - low) * rng.random()``."""
+    low, random = float(low), rng.random
+    span = float(high) - low
+    return lambda: low + span * random()
+
+
 class _Generator:
     def __init__(self, config: GroundTruthConfig, duration: float):
+        _check_draws(config)
         self.cfg = config
         self.duration = duration
         self.rng = np.random.default_rng(config.seed)
+        self.draw_delta = delta_draw(self.rng, config.delta_choices, config.delta_weights)
+        self.draw_size = uniform_draw(self.rng, *config.size_range)
+        self.draw_trade_size = uniform_draw(self.rng, *config.trade_size_range)
+        self.start_ts = config.start_ts
         self.book = BookState()
         self.messages: list[Level3Message] = []
         self.truth: list[TruthRow] = []
@@ -206,16 +252,8 @@ class _Generator:
         if self.gap_pending:
             self.seq += int(self.rng.integers(2, 20))
             self.gap_pending = False
-        msg = Level3Message(
-            seq=self.seq,
-            ts=self.cfg.start_ts + int(round(t * 1e9)),
-            kind=kind,
-            order_id=order_id,
-            side=side,
-            price=price,
-            size=size,
-            exec_size=exec_size,
-        )
+        ts = self.start_ts + int(round(t * 1e9))
+        msg = Level3Message(self.seq, ts, kind, order_id, side, price, size, exec_size)  # positional: no kwargs parse
         self.book.apply(msg, allow_gap=True)
         self.messages.append(msg)
 
@@ -276,8 +314,7 @@ class _Generator:
             self.skipped_trades += 1
             return
         remaining = queue[0][1]
-        size = float(self.rng.uniform(*self.cfg.trade_size_range))
-        size = min(size, 0.5 * remaining)
+        size = min(self.draw_trade_size(), 0.5 * remaining)
         if size <= 0:
             self.skipped_trades += 1
             return
@@ -297,10 +334,8 @@ class _Generator:
             self.skipped_subjects += 1
             return
         spread = best_ask - best_bid
-        weights = cfg.delta_weights
-        probs = None if weights is None else np.asarray(weights) / np.sum(weights)
         for _ in range(4):
-            delta = int(self.rng.choice(cfg.delta_choices, p=probs))
+            delta = self.draw_delta()
             if side is BID:
                 price = best_bid - delta
                 crossing = price >= best_ask
@@ -315,8 +350,7 @@ class _Generator:
             if level and delta == 0 and any(e[0].startswith("s") for e in level):
                 continue  # one subject per best queue
             oid = self._fresh_id("s")
-            size = float(self.rng.uniform(*cfg.size_range))
-            self._emit(t, ADD, oid, side, price, size=size)
+            self._emit(t, ADD, oid, side, price, size=self.draw_size())
             q_bid = self.book.best_queue_size(BID)
             q_ask = self.book.best_queue_size(ASK)
             imbalance = (q_bid - q_ask) / (q_bid + q_ask)
@@ -371,7 +405,7 @@ class _Generator:
         if price <= 0 or self.book.queue_at(side, price):
             return
         oid = self._fresh_id("n")
-        self._emit(t, ADD, oid, side, price, size=float(self.rng.uniform(*cfg.size_range)))
+        self._emit(t, ADD, oid, side, price, size=self.draw_size())
         self._push(t + float(self.rng.exponential(1.0 / cfg.noise_cancel_rate)), _NOISE_CANCEL, (oid,))
 
     def _on_noise_cancel(self, t: float, order_id: str) -> None:

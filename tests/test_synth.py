@@ -1,9 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lobkit.messages import InstrumentConfig, MessageKind
+from lobkit.messages import InstrumentConfig, MessageKind, write_messages
 from lobkit.replay import Outcome, track_lifecycles
 from lobkit.survival import CAUSE_EXECUTION, conditional_curves
 from lobkit.synth import (
@@ -11,8 +14,11 @@ from lobkit.synth import (
     GroundTruthConfig,
     PiecewiseMultiplier,
     RegimeSpec,
+    delta_draw,
     generate_flow,
     true_fill_probability,
+    uniform_draw,
+    write_truth,
 )
 
 
@@ -147,3 +153,96 @@ def test_piecewise_multiplier_matches_sorted_search_reference():
         for x in (-np.inf, -5, -0.0, 0.0, 0.5, 1, 1.0, 1.5, 2, 3.5, 3.49, 4, 1e9, np.inf, np.nan):
             idx = int(np.clip(np.searchsorted(m.edges, x, side="right") - 1, 0, len(m.values) - 1))
             assert m.at(x) == m.values[idx], (m, x)
+
+
+WEIGHTS = st.one_of(st.just(0.0), st.floats(1e-3, 100.0))
+RANGES = st.tuples(st.floats(-1e3, 1e3), st.floats(0.0, 1e3)).map(lambda pair: (pair[0], pair[0] + pair[1]))
+
+
+@st.composite
+def draw_plans(draw):
+    choices = tuple(draw(st.lists(st.integers(-5, 40), min_size=1, max_size=8)))
+    weights = draw(
+        st.none() | st.lists(WEIGHTS, min_size=len(choices), max_size=len(choices)).filter(any).map(tuple)
+    )
+    steps = st.lists(st.sampled_from(("delta", "size", "exp", "depth")), min_size=100, max_size=300)
+    return choices, weights, draw(RANGES), draw(steps)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), plan=draw_plans())
+def test_direct_draws_equal_numpy_draws(seed, plan):
+    """Twin generators stay in step: numpy's ``choice``/``uniform`` on one, the direct draws on the other."""
+    choices, weights, (lo, hi), steps = plan
+    ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    p = None if weights is None else np.asarray(weights) / np.sum(weights)
+    delta, size = delta_draw(rng, choices, weights), uniform_draw(rng, lo, hi)
+    for step in steps:
+        if step == "delta":
+            assert delta() == int(ref.choice(choices, p=p))
+        elif step == "size":
+            assert size() == float(ref.uniform(lo, hi))
+        elif step == "exp":  # drawn through numpy on both sides, as synth does
+            assert rng.exponential(0.7) == ref.exponential(0.7)
+        else:
+            assert rng.integers(6, 31) == ref.integers(6, 31)
+    assert rng.random() == ref.random()
+
+
+# sha256 of the messages CSV followed by the truth CSV of a 30 s stream, recorded with
+# numpy 2.4.6 (a numpy release may change its Generator's streams) before synth drew
+# without numpy's choice/uniform wrappers
+STREAM_DIGESTS = {
+    "default": (GroundTruthConfig(seed=11), "98eb629d08595270dfefd32c36f4275512639f615e395b66b75b5191d06f1a5a"),
+    "weights_with_gaps": (
+        GroundTruthConfig(seed=12, delta_weights=(3.0, 0.0, 1.0, 0.0, 0.5, 2.0)),
+        "bc8edf7620373e89485f91a0139c5c21410489b1008b270b7b8014f67202bb3e",
+    ),
+    "noise_two_regimes": (
+        GroundTruthConfig(
+            seed=13,
+            censor_rate=0.2,
+            noise_rate=8.0,
+            noise_depth_range=(3, 40),
+            regimes=[
+                RegimeSpec(duration=10.0, spread=3),
+                RegimeSpec(duration=10.0, spread=6, trade_rate=6.0, up_probability=0.7),
+            ],
+        ),
+        "2b5001f9fef183298b85488cca1303be734d353a5f00261bec1515d6a8d34fdb",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", STREAM_DIGESTS)
+def test_short_streams_keep_their_recorded_bytes(tmp_path, name):
+    config, digest = STREAM_DIGESTS[name]
+    msgs, truth = generate_flow(config, 30.0)
+    write_messages(tmp_path / "m.csv", msgs)
+    write_truth(tmp_path / "t.csv", truth)
+    data = (tmp_path / "m.csv").read_bytes() + (tmp_path / "t.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest, f"recorded with numpy 2.4.6, running {np.__version__}"
+
+
+@pytest.mark.parametrize(
+    ("overrides", "field"),
+    [
+        ({"delta_choices": ()}, "delta_choices"),
+        ({"delta_weights": (1.0, 2.0)}, "delta_weights"),  # six choices
+        ({"delta_weights": (1.0, -0.5, 1.0, 1.0, 1.0, 1.0)}, "delta_weights"),
+        ({"delta_weights": (1.0, math.nan, 1.0, 1.0, 1.0, 1.0)}, "delta_weights"),
+        ({"delta_weights": (1.0, math.inf, 1.0, 1.0, 1.0, 1.0)}, "delta_weights"),
+        ({"delta_weights": (0.0,) * 6}, "delta_weights"),
+        ({"size_range": (2.0, 0.5)}, "size_range"),
+        ({"size_range": (0.5, math.inf)}, "size_range"),
+        ({"size_range": (math.nan, 2.0)}, "size_range"),
+        ({"trade_size_range": (1.6, 0.4)}, "trade_size_range"),
+        ({"trade_size_range": (-math.inf, 1.6)}, "trade_size_range"),
+        ({"noise_depth_range": (30, 6)}, "noise_depth_range"),
+        ({"noise_depth_range": (6.5, 30)}, "noise_depth_range"),
+    ],
+)
+def test_bad_draw_config_fails_at_start_naming_the_field(overrides, field):
+    config = GroundTruthConfig(seed=1, noise_rate=0.0, subject_rate=0.0, **overrides)
+    with pytest.raises(ValueError, match=f"^{field} "):
+        generate_flow(config, 1.0)
