@@ -69,9 +69,12 @@ class RouterModels:
         if kind == "exponential":
             if self.toy is None:
                 raise ValueError("exponential fill component not fitted")
+            toy = self.toy
             ask_distances = X[:, _COLUMN["spread"]] + X[:, _COLUMN["delta"]]
-            # math.exp per record: np.exp may differ from it in the last bit
-            return np.array([min(1.0, self.toy.fill_probability(d)) for d in ask_distances.tolist()], dtype=float)
+            # ToyModel.fill_probability capped at 1: math.exp per record, since np.exp may differ
+            # from it in the last bit; fmin keeps min(1.0, nan) == 1.0
+            exps = np.fromiter(map(math.exp, (-toy.decay * ask_distances).tolist()), float, len(ask_distances))
+            return np.fmin(toy.amplitude * exps, 1.0)
         if self.fill is None:
             raise ValueError("fill model not trained")
         return np.asarray(self.fill.predict(X), dtype=float)
@@ -149,9 +152,10 @@ class BacktestReport:
 
 
 def _metrics(pred: np.ndarray, truth: np.ndarray, positive: int) -> ActionMetrics:
-    tp = int(np.sum((pred == positive) & (truth == positive)))
-    fp = int(np.sum((pred == positive) & (truth != positive)))
-    fn = int(np.sum((pred != positive) & (truth == positive)))
+    predicted, actual = pred == positive, truth == positive
+    tp = int(np.count_nonzero(predicted & actual))
+    fp = int(np.count_nonzero(predicted)) - tp
+    fn = int(np.count_nonzero(actual)) - tp
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
@@ -161,8 +165,8 @@ def _metrics(pred: np.ndarray, truth: np.ndarray, positive: int) -> ActionMetric
 def check_disjoint(trained_span: tuple[int, int] | None, records: Sequence[OrderLifecycle]) -> None:
     """Raise ``PeriodOverlap`` when a training span intersects the records' insertion times."""
     if trained_span is not None and records:
-        t_lo = min(r.insert_ts for r in records)
-        t_hi = max(r.insert_ts for r in records)
+        times = [r.insert_ts for r in records]
+        t_lo, t_hi = min(times), max(times)
         lo, hi = trained_span
         if t_lo <= hi and lo <= t_hi:
             raise PeriodOverlap(

@@ -12,6 +12,7 @@ import math
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter
 from typing import Iterable
 
@@ -49,7 +50,7 @@ FEATURE_COLUMNS = (
 )
 _ROW = attrgetter(*FEATURE_COLUMNS)
 _AGGRESSIVENESS_AT = FEATURE_COLUMNS.index("aggressiveness")
-_ROW_DTYPE = np.dtype((float, len(FEATURE_COLUMNS)))  # one model row as a fromiter item
+_WIDTH = len(FEATURE_COLUMNS)
 
 
 @dataclass(slots=True)
@@ -88,8 +89,9 @@ def feature_matrix(vectors: Iterable[FeatureVector]) -> np.ndarray:
     """The (n, len(FEATURE_COLUMNS)) model matrix, one row per vector: the
     ``FEATURE_COLUMNS`` attributes, a ``None`` aggressiveness as 0.0."""
     vectors = list(vectors)
-    # streamed one row at a time, so no tuple per row is held at once; a None aggressiveness reads NaN here
-    X = np.fromiter(map(_ROW, vectors), _ROW_DTYPE, len(vectors))
+    # one flat stream of floats, so no tuple per row is held at once; a None aggressiveness reads NaN here
+    n = len(vectors)
+    X = np.fromiter(chain.from_iterable(map(_ROW, vectors)), float, n * _WIDTH).reshape(n, _WIDTH)
     X[:, _AGGRESSIVENESS_AT] = [0.0 if v.aggressiveness is None else v.aggressiveness for v in vectors]
     return X
 

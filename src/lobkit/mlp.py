@@ -28,12 +28,9 @@ class DimensionMismatch(ValueError):
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, from one exp that never overflows
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 class MLP:
@@ -71,7 +68,9 @@ class MLP:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.layer_sizes[0]:
             raise DimensionMismatch(f"expected {self.layer_sizes[0]} features, got {X.shape[1]}")
-        return (X - self.mean) / self.std
+        Xs = X - self.mean  # a new array: the caller's X is never written
+        Xs /= self.std
+        return Xs
 
     # -- forward / backward -------------------------------------------------
 
@@ -80,9 +79,13 @@ class MLP:
         acts = [Xs]
         h = Xs
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ W + b, 0.0)
+            # in place on the product, which is the layer's own new array
+            h = h @ W
+            h += b
+            np.maximum(h, 0.0, out=h)
             acts.append(h)
-        z = h @ self.weights[-1] + self.biases[-1]
+        z = h @ self.weights[-1]
+        z += self.biases[-1]
         return z[:, 0], acts
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -94,7 +97,10 @@ class MLP:
         z, _ = self._forward(self.standardize(X))
         if self.output == "identity":
             return z
-        return np.clip(_sigmoid(z), 1e-12, 1.0 - 1e-12)
+        p = _sigmoid(z)
+        # np.clip's values, without its Python wrapper
+        np.maximum(p, 1e-12, out=p)
+        return np.minimum(p, 1.0 - 1e-12, out=p)
 
     def loss(self, Xs: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
         z, _ = self._forward(Xs)

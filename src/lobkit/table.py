@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from itertools import zip_longest
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -54,9 +55,14 @@ def optional_number(empty: float | None = None) -> Kind:
 
 
 def choice(members: Mapping[str, Hashable]) -> Kind:
-    """Enum members, read through the cell→member dict ``members`` and written through its inverse."""
-    spelling = {member: cell for cell, member in members.items()}
-    return Kind(dict(members).__getitem__, spelling.__getitem__, "one of " + ", ".join(members))
+    """Enum members, read through the cell→member dict ``members`` and written through its inverse,
+    or as the member's ``_value_`` where every member's value is its cell: a plain ``Enum``
+    member hashes through Python-level ``Enum.__hash__``, which the attribute read skips."""
+    if all(getattr(member, "_value_", None) == cell for cell, member in members.items()):
+        spell = attrgetter("_value_")
+    else:
+        spell = {member: cell for cell, member in members.items()}.__getitem__
+    return Kind(dict(members).__getitem__, spell, "one of " + ", ".join(members))
 
 
 def parse_row(schema: Mapping[str, Kind], cells: Sequence[str], where: str) -> list:

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lobkit.backtest import (
     MODEL_I,
@@ -114,6 +118,67 @@ def test_metrics_identity():
     assert m.f_score == pytest.approx(2 * m.precision * m.recall / (m.precision + m.recall))
     empty = _metrics(np.zeros(4, dtype=int), np.zeros(4, dtype=int), positive=1)
     assert empty.f_score == 0.0
+
+
+def _three_mask_metrics(pred, truth, positive):
+    """``_metrics`` as it counted before ``count_nonzero``: one ``np.sum`` per mask."""
+    tp = int(np.sum((pred == positive) & (truth == positive)))
+    fp = int(np.sum((pred == positive) & (truth != positive)))
+    fn = int(np.sum((pred != positive) & (truth == positive)))
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return (precision, recall, f, tp, fp, fn)
+
+
+PAIRS = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), max_size=40)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(PAIRS)
+@example([(0, 0)] * 7)
+@example([(1, 1)] * 7)
+@example([(0, 1)] * 5)
+@example([(1, 0)] * 5)
+@example([])
+def test_metrics_counts_equal_three_mask_reference(pairs):
+    pred = np.array([p for p, _ in pairs], dtype=int)
+    truth = np.array([t for _, t in pairs], dtype=int)
+    for positive in (1, 0):
+        m = _metrics(pred, truth, positive)
+        got = (m.precision, m.recall, m.f_score, m.true_positive, m.false_positive, m.false_negative)
+        assert got == _three_mask_metrics(pred, truth, positive)
+        assert all(type(count) is int for count in got[3:])
+
+
+def _exponential_column(toy, deltas, spreads):
+    X = np.zeros((len(deltas), len(FEATURE_COLUMNS)))
+    X[:, FEATURE_COLUMNS.index("delta")] = deltas
+    X[:, FEATURE_COLUMNS.index("spread")] = spreads
+    return RouterModels(toy=toy).fill_probabilities("exponential", X)
+
+
+@pytest.mark.parametrize(
+    "toy", [ToyModel(0.9, 0.4, 1.0), ToyModel(1.0, 0.05, 0.0), ToyModel(0.3, 2.5, 2.0)], ids=["A0.9", "A1", "A0.3"]
+)
+def test_exponential_fill_column_equals_scalar_rule(toy):
+    rng = np.random.default_rng(5)
+    deltas = [-4.0, -1.0, -0.0, 0.0, 1.0, 2.5, math.nan, 3.0, -30.0, 1e6, *rng.uniform(-8.0, 40.0, size=200)]
+    spreads = [1.0, 1.0, 0.0, 0.0, 2.0, 3.0, 2.0, math.nan, 5.0, 1.0, *rng.integers(1, 9, size=200).astype(float)]
+    expected = [min(1.0, toy.fill_probability(s + d)) for d, s in zip(deltas, spreads)]
+    got = _exponential_column(toy, deltas, spreads)
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in expected]
+    # A * exp above 1 is capped; a NaN distance reads 1.0, as Python's min(1.0, nan) does
+    assert any(toy.fill_probability(s + d) > 1.0 for d, s in zip(deltas, spreads))
+    assert got[6] == got[7] == 1.0
+
+
+def test_exponential_fill_column_overflow_raises_like_the_scalar_rule():
+    toy = ToyModel(0.9, 0.4, 1.0)
+    with pytest.raises(OverflowError):
+        toy.fill_probability(-5000.0 + 1.0)
+    with pytest.raises(OverflowError):
+        _exponential_column(toy, [0.0, -5000.0, 1.0], [1.0, 1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------

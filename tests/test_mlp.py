@@ -2,12 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lobkit.fill_model import HIDDEN_LAYERS
 from lobkit.mlp import (
     MLP,
     DimensionMismatch,
     NonFiniteLoss,
     TrainConfig,
+    _sigmoid,
     gradient_check,
     permutation_importance,
     train_mlp,
@@ -125,6 +129,79 @@ def test_save_load_round_trip():
     train_mlp(model, X, y, w, TrainConfig(lr=0.01, batch=32, epochs=5, seed=23))
     clone = MLP.from_dict(json.loads(json.dumps(model.to_dict())))
     np.testing.assert_array_equal(model.predict(X), clone.predict(X))
+
+
+# ---------------------------------------------------------------------------
+# Predict's bits: the in-place forward against the allocating one
+# ---------------------------------------------------------------------------
+
+
+def _reference_sigmoid(z):
+    """The masked two-``exp`` sigmoid predict and training used before the one-``exp`` form."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _reference_predict(model, X):
+    """``standardize`` -> ``_forward`` -> ``np.clip`` as predict ran them with a temporary per op."""
+    Xs = (np.atleast_2d(np.asarray(X, dtype=float)) - model.mean) / model.std
+    h = Xs
+    for W, b in zip(model.weights[:-1], model.biases[:-1]):
+        h = np.maximum(h @ W + b, 0.0)
+    z = (h @ model.weights[-1] + model.biases[-1])[:, 0]
+    if model.output == "identity":
+        return z
+    return np.clip(_reference_sigmoid(z), 1e-12, 1.0 - 1e-12)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+BITS = settings(max_examples=200, deadline=None, database=None, derandomize=True)
+TINY = 5e-324  # the smallest subnormal
+SIGMOID_INPUTS = (
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, TINY, -TINY, 2.2e-308, -2.2e-308, 709.78, -745.13])
+    | st.floats(700.0, 750.0)
+    | st.floats(-750.0, -700.0)
+    | st.floats(-1e-300, 1e-300)
+    | st.floats(-40.0, 40.0)
+    | st.floats(allow_nan=False)
+)
+
+
+@BITS
+@given(st.lists(SIGMOID_INPUTS, max_size=64))
+def test_sigmoid_equals_masked_reference_bit_for_bit(values):
+    z = np.array(values, dtype=float)
+    got, ref = _sigmoid(z), _reference_sigmoid(z)
+    # a NaN input keeps NaN but may flip its sign bit, so NaN is compared only as NaN
+    nan = np.isnan(z)
+    assert np.array_equal(np.isnan(got), nan) and np.array_equal(np.isnan(ref), nan)
+    assert _same_bits(got[~nan], ref[~nan])
+
+
+@BITS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.sampled_from([1, 3, 17, 103]),
+    scale=st.sampled_from([1e-3, 1.0, 30.0, 1e6]),
+)
+def test_predict_equals_allocating_reference_bit_for_bit(seed, rows, scale):
+    rng = np.random.default_rng(seed)
+    width = 17
+    X = rng.normal(size=(rows, width)) * scale
+    before = X.copy()
+    for output in ("sigmoid", "identity"):
+        model = MLP([width, *HIDDEN_LAYERS, 1], output=output, seed=seed)
+        model.fit_standardization(rng.normal(size=(50, width)) * rng.uniform(0.1, 10.0, size=width))
+        got = model.predict(X)
+        assert _same_bits(got, _reference_predict(model, X))
+        assert _same_bits(X, before)  # predict never writes its input
 
 
 # ---------------------------------------------------------------------------
