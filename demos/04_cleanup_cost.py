@@ -45,7 +45,8 @@ for up_probability, label in ((0.5, "driftless"), (0.8, "drift +3 ticks/s")):
     drift = 5.0 * (2 * up_probability - 1)
     print(f"\n{label}: {report.kept} qualifying orders "
           f"({report.died_within_horizon} died within the horizon, {report.unmeasurable} unmeasurable)")
-    print(f"  constant baseline V-bar = {constant_cleanup(samples):+.3f} ticks (planted {drift:+.1f})")
+    v_bar = constant_cleanup([s.target for s in samples])
+    print(f"  constant baseline V-bar = {v_bar:+.3f} ticks (planted {drift:+.1f})")
     curve = bucket_estimate(
         [s.features.delta for s in samples], [s.target for s in samples],
         edges=[0.5, 1.5, 2.5, 3.5, 4.5], min_count=40,

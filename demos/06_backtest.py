@@ -10,20 +10,18 @@ import numpy as np
 from lobkit import (
     FEE_TABLE,
     InstrumentConfig,
-    Observation,
     TrainConfig,
     build_training_matrix,
     collect_cleanup_samples,
-    fill_probability_at,
-    fit_toy_model,
+    fit_router_models,
     generate_flow,
-    post_and_wait_fill,
+    record_columns,
     stratified_censoring_survival,
     track_lifecycles,
     train_cleanup_model,
     train_fill_model,
 )
-from lobkit.backtest import MODEL_I, MODEL_II, MODEL_III, EligibilityConfig, RouterModels, run_backtest, select_eligible
+from lobkit.backtest import MODEL_I, MODEL_II, MODEL_III, EligibilityConfig, run_backtest, select_eligible
 from lobkit.cleanup import samples_to_matrix
 from lobkit.synth import GroundTruthConfig, PiecewiseMultiplier, RegimeSpec
 
@@ -67,20 +65,10 @@ fill = train_fill_model(X, y, w, TrainConfig(lr=5e-3, batch=256, epochs=60, seed
 samples, _ = collect_cleanup_samples(kept, HORIZON)
 Xc, targets = samples_to_matrix(samples)
 cleanup = train_cleanup_model(Xc, targets, TrainConfig(lr=5e-3, batch=256, epochs=60, seed=1, patience=8))
-const_v = float(np.mean(targets))
+models, _ = fit_router_models(*record_columns(kept), fill, cleanup, HORIZON)
+print(f"model I components: A={models.toy.amplitude:.2f}, k={models.toy.decay:.3f}, "
+      f"constant clean-up {models.constant_cleanup:+.2f} ticks")
 
-by_distance = {}
-for r in kept:
-    by_distance.setdefault(int(r.features.spread + r.features.delta), []).append(
-        Observation(r.outcome_time, int(r.outcome))
-    )
-distances = [d for d in sorted(by_distance) if len(by_distance[d]) >= 30]
-probs = [fill_probability_at(post_and_wait_fill(by_distance[d]), HORIZON) for d in distances]
-toy, _ = fit_toy_model(distances, probs, const_v)
-print(f"model I components: A={toy.amplitude:.2f}, k={toy.decay:.3f}, "
-      f"constant clean-up {const_v:+.2f} ticks")
-
-models = RouterModels(toy=toy, fill=fill, cleanup=cleanup, constant_cleanup=const_v, trained_span=span)
 eligible = select_eligible(test_records, HORIZON, test_res.diagnostics.average_trade_size,
                            EligibilityConfig(max_size_ats_multiple=5.0))
 report = run_backtest(eligible, [MODEL_I, MODEL_II, MODEL_III], models, FEE_TABLE[9], HORIZON, TICK)

@@ -1,14 +1,15 @@
 """Limit order book lifecycles, censoring-aware fill probabilities, and
 saved-cost order placement."""
 
+from .backtest import constant_cleanup, fit_router_models, record_columns
 from .book import BookState, CrossedBook, SequenceGap, UnknownOrderId
 from .cleanup import (
     BucketCurve,
     CleanupModel,
     CleanupSample,
     bucket_estimate,
+    cleanup_rows,
     collect_cleanup_samples,
-    constant_cleanup,
     train_cleanup_model,
 )
 from .features import FEATURE_COLUMNS, FeatureVector, RollingWindows

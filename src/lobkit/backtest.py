@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cleanup import CleanupModel
+from .cleanup import CleanupModel, cleanup_rows
 from .features import feature_matrix
 from .fill_model import FillModel
 from .messages import BID
@@ -27,9 +27,11 @@ from .placement import (
     _check_fill_probabilities,
     _check_quotes,
     _unchecked_saved_cost,
+    fit_toy_model,
     saved_cost,  # noqa: F401  -- the scalar rule scored here in array form; benchmarks/workloads.py traces this name
 )
 from .replay import OrderLifecycle, Outcome
+from .survival import Observation, fill_probability_at, post_and_wait_fill
 
 
 class MissingPriceMove(ValueError):
@@ -86,6 +88,63 @@ class RouterModels:
         if self.cleanup is None:
             raise ValueError("clean-up model not trained")
         return np.asarray(self.cleanup.predict(X), dtype=float)
+
+
+TOY_MIN_BUCKET = 30  # observations an ask-distance bucket needs to enter Model I's fit
+_ROW_FIELDS = ("outcome_time", "outcome", "dp_ask_horizon", "insert_ts")
+
+
+@dataclass
+class RouterFit:
+    """Model I's ask-distance buckets in ticks, the buckets left out as thin, and the flat-decay flag."""
+
+    distances: list[int]
+    thin_buckets: int
+    flat: bool
+
+
+def constant_cleanup(targets: Sequence[float]) -> float:
+    """Mean ask move in ticks: Models I and II's constant clean-up cost, 0.0 without targets."""
+    return float(np.mean(targets)) if len(targets) else 0.0
+
+
+def record_columns(records: Sequence[OrderLifecycle]) -> tuple[list, ...]:
+    """``fit_router_models``' training columns, read off lifecycle records."""
+    return [r.features.delta + r.features.spread for r in records], *([getattr(r, k) for r in records] for k in _ROW_FIELDS)
+
+
+def matrix_columns(X: np.ndarray, meta: Sequence[dict]) -> tuple[Sequence, ...]:
+    """``fit_router_models``' training columns, read off ``io.read_matrix``'s rows."""
+    return X[:, _COLUMN["delta"]] + X[:, _COLUMN["spread"]], *([m[k] for m in meta] for k in _ROW_FIELDS)
+
+
+def fit_router_models(
+    ask_distances: Sequence[float],
+    outcome_times: Sequence[float],
+    outcomes: Sequence[int],
+    ask_moves: Sequence[float | None],
+    insert_ts: Sequence[int],
+    fill: FillModel | None,
+    cleanup: CleanupModel | None,
+    horizon: float,
+) -> tuple[RouterModels, RouterFit]:
+    """The specs' components from one training period's rows, given one column per field.
+
+    Model I's fill is ``fit_toy_model`` over the post-and-wait fill at the
+    horizon of each ask-distance bucket (whole ticks, rounded) holding at
+    least ``TOY_MIN_BUCKET`` rows.  The constant clean-up cost averages the
+    ask moves of the rows ``cleanup_rows`` keeps; the span covers every row.
+    """
+    buckets: dict[int, list[Observation]] = {}
+    for d, t, outcome in zip(ask_distances, outcome_times, outcomes):
+        buckets.setdefault(int(round(d)), []).append(Observation(t, int(outcome)))
+    distances = [d for d in sorted(buckets) if len(buckets[d]) >= TOY_MIN_BUCKET]
+    probs = [fill_probability_at(post_and_wait_fill(buckets[d]), horizon) for d in distances]
+    constant_v = constant_cleanup([ask_moves[i] for i in cleanup_rows(outcome_times, ask_moves, horizon)[0]])
+    toy, flat = fit_toy_model(distances, probs, constant_v)
+    span = (min(insert_ts), max(insert_ts))
+    models = RouterModels(toy=toy, fill=fill, cleanup=cleanup, constant_cleanup=constant_v, trained_span=span)
+    return models, RouterFit(distances, len(buckets) - len(distances), flat)
 
 
 @dataclass

@@ -8,6 +8,7 @@ qualify; everything else is excluded and counted by reason.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -26,10 +27,38 @@ class CleanupSample:
 
 @dataclass
 class CollectionReport:
+    read: int = 0
     kept: int = 0
     died_within_horizon: int = 0
     unmeasurable: int = 0
     partial_window: int = 0
+
+
+def cleanup_rows(
+    outcome_times: Sequence[float],
+    ask_moves: Sequence[float | None],
+    horizon: float,
+    partial_windows: Sequence[bool] | None = None,
+) -> tuple[list[int], CollectionReport]:
+    """Indices of the rows that qualify as clean-up samples, with each exclusion counted.
+
+    A row qualifies when its outcome comes after the horizon, its ask move was
+    measured and, when ``partial_windows`` is given, its feature window is full.
+    """
+    rows: list[int] = []
+    report = CollectionReport(read=len(outcome_times))
+    partial = repeat(False) if partial_windows is None else partial_windows
+    for i, (outcome_time, move, part) in enumerate(zip(outcome_times, ask_moves, partial)):
+        if outcome_time <= horizon:
+            report.died_within_horizon += 1
+        elif move is None:
+            report.unmeasurable += 1
+        elif part:
+            report.partial_window += 1
+        else:
+            rows.append(i)
+    report.kept = len(rows)
+    return rows, report
 
 
 def collect_cleanup_samples(
@@ -37,29 +66,10 @@ def collect_cleanup_samples(
     horizon: float,
     drop_partial_windows: bool = True,
 ) -> tuple[list[CleanupSample], CollectionReport]:
-    """Samples from orders whose lifetime exceeds the horizon."""
-    samples: list[CleanupSample] = []
-    report = CollectionReport()
-    for rec in records:
-        if rec.outcome_time <= horizon:
-            report.died_within_horizon += 1
-            continue
-        if rec.dp_ask_horizon is None:
-            report.unmeasurable += 1
-            continue
-        if drop_partial_windows and rec.features.partial_window:
-            report.partial_window += 1
-            continue
-        samples.append(CleanupSample(rec.features, rec.dp_ask_horizon))
-        report.kept += 1
-    return samples, report
-
-
-def constant_cleanup(samples: Sequence[CleanupSample]) -> float:
-    """Unconditional mean ask move: the constant-V baseline."""
-    if not samples:
-        raise ValueError("no clean-up samples")
-    return float(np.mean([s.target for s in samples]))
+    """Samples from the records ``cleanup_rows`` keeps."""
+    partial = [r.features.partial_window for r in records] if drop_partial_windows else None
+    rows, report = cleanup_rows([r.outcome_time for r in records], [r.dp_ask_horizon for r in records], horizon, partial)
+    return [CleanupSample(records[i].features, records[i].dp_ask_horizon) for i in rows], report
 
 
 @dataclass

@@ -26,12 +26,14 @@ from .backtest import (
     MODEL_II,
     MODEL_III,
     EligibilityConfig,
-    RouterModels,
     check_disjoint,
+    constant_cleanup,
+    fit_router_models,
+    matrix_columns,
     run_backtest,
     select_eligible,
 )
-from .cleanup import CleanupModel, bucket_estimate, train_cleanup_model
+from .cleanup import CleanupModel, bucket_estimate, cleanup_rows, train_cleanup_model
 from .features import FEATURE_COLUMNS, feature_matrix
 from .fill_model import (
     FillModel,
@@ -50,14 +52,12 @@ from .placement import (
     decision_map,
     default_delta_range,
     distance_spread_surface,
-    fit_toy_model,
     optimal_distance,
 )
 from .replay import fill_ratio_icdf, track_lifecycles
 from .report import write_report
 from .survival import (
     CAUSE_EXECUTION,
-    Observation,
     aalen_johansen,
     conditional_curves,
     fill_probability_at,
@@ -329,17 +329,14 @@ def cmd_train_fill(args, cfg: PipelineConfig) -> int:
 
 def cmd_train_cleanup(args, cfg: PipelineConfig) -> int:
     bucket_col = _feature_column(args.bucket_feature, "--bucket-feature")
-    X, y, w, meta = lio.read_matrix(_require(args.matrix, "feature matrix"))
-    rows = [
-        i
-        for i, m in enumerate(meta)
-        if m["outcome_time"] > cfg.horizon and m["dp_ask_horizon"] is not None
-    ]
+    X, _, _, meta = lio.read_matrix(_require(args.matrix, "feature matrix"))
+    _, outcome_times, _, ask_moves, insert_ts = matrix_columns(X, meta)
+    rows, collection = cleanup_rows(outcome_times, ask_moves, cfg.horizon)  # a --keep-partial matrix keeps its partial rows
     if not rows:
         raise ConfigInvalid("no qualifying clean-up rows in the matrix")
     Xc = X[rows]
-    targets = np.array([meta[i]["dp_ask_horizon"] for i in rows])
-    span = (min(meta[i]["insert_ts"] for i in rows), max(meta[i]["insert_ts"] for i in rows))
+    targets = np.array([ask_moves[i] for i in rows])
+    span = (min(insert_ts[i] for i in rows), max(insert_ts[i] for i in rows))
     model = train_cleanup_model(
         Xc, targets, cfg.train_config(args.seed), horizon=cfg.horizon, trained_span=span
     )
@@ -361,7 +358,8 @@ def cmd_train_cleanup(args, cfg: PipelineConfig) -> int:
         args.report,
         {
             "rows": len(rows),
-            "constant_baseline": float(np.mean(targets)),
+            "cleanup_rows": dataclasses.asdict(collection),
+            "constant_baseline": constant_cleanup(targets),
             "winsor_bounds": list(model.winsor_bounds) if model.winsor_bounds else None,
             **dataclasses.asdict(model.report),
         },
@@ -418,34 +416,9 @@ def cmd_route(args, cfg: PipelineConfig) -> int:
 
 def cmd_backtest(args, cfg: PipelineConfig) -> int:
     records = _load_records(args, cfg)
-    Xtr, ytr, wtr, meta_tr = lio.read_matrix(_require(args.train_matrix, "training matrix"))
+    X, _, _, meta = lio.read_matrix(_require(args.train_matrix, "training matrix"))
     fill, cleanup = _load_models(args)
-
-    # model I components from the training matrix
-    delta_idx = FEATURE_COLUMNS.index("delta")
-    spread_idx = FEATURE_COLUMNS.index("spread")
-    ask_distance = Xtr[:, delta_idx] + Xtr[:, spread_idx]
-    obs_by_bucket: dict[int, list[Observation]] = {}
-    for d, m in zip(ask_distance, meta_tr):
-        obs_by_bucket.setdefault(int(round(d)), []).append(Observation(m["outcome_time"], int(m["outcome"])))
-    distances, probs = [], []
-    for d in sorted(obs_by_bucket):
-        bucket = obs_by_bucket[d]
-        if len(bucket) < 30:
-            continue
-        distances.append(d)
-        probs.append(fill_probability_at(post_and_wait_fill(bucket), cfg.horizon))
-    cleanup_targets = [
-        m["dp_ask_horizon"]
-        for m in meta_tr
-        if m["outcome_time"] > cfg.horizon and m["dp_ask_horizon"] is not None
-    ]
-    constant_v = float(np.mean(cleanup_targets)) if cleanup_targets else 0.0
-    toy, flat = fit_toy_model(distances, probs, constant_v)
-    span = (min(m["insert_ts"] for m in meta_tr), max(m["insert_ts"] for m in meta_tr))
-    models = RouterModels(
-        toy=toy, fill=fill, cleanup=cleanup, constant_cleanup=constant_v, trained_span=span
-    )
+    models, fit = fit_router_models(*matrix_columns(X, meta), fill, cleanup, cfg.horizon)
 
     # eligibility needs the stream's average trade size
     ats = args.average_trade_size
@@ -468,8 +441,10 @@ def cmd_backtest(args, cfg: PipelineConfig) -> int:
     payload = {
         "evaluated": report.evaluated,
         "excluded_ties": report.excluded_ties,
-        "toy_flat_fit": flat,
-        "constant_cleanup_ticks": constant_v,
+        "toy_flat_fit": fit.flat,
+        "toy_distances": fit.distances,
+        "toy_thin_buckets": fit.thin_buckets,
+        "constant_cleanup_ticks": models.constant_cleanup,
         "metrics": {
             mid: {
                 action: {

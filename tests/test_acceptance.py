@@ -17,7 +17,8 @@ from lobkit.backtest import (
     MODEL_II,
     MODEL_III,
     EligibilityConfig,
-    RouterModels,
+    fit_router_models,
+    record_columns,
     run_backtest,
     select_eligible,
 )
@@ -33,7 +34,6 @@ from lobkit.placement import (
     ToyModel,
     break_even_fill,
     decision_map,
-    fit_toy_model,
     latency_saved_cost,
     point_mass_move,
     saved_cost,
@@ -363,20 +363,7 @@ def _ordering_pipeline(seed: int):
     cleanup = train_cleanup_model(
         Xc, targets, TrainConfig(lr=5e-3, batch=256, epochs=60, seed=seed, patience=8), horizon=HORIZON
     )
-    const_v = float(np.mean(targets))
-    buckets: dict[int, list[Observation]] = {}
-    for r in kept:
-        buckets.setdefault(int(r.features.spread + r.features.delta), []).append(
-            Observation(r.outcome_time, int(r.outcome))
-        )
-    distances, probs = [], []
-    for dist in sorted(buckets):
-        if len(buckets[dist]) < 30:
-            continue
-        distances.append(dist)
-        probs.append(fill_probability_at(post_and_wait_fill(buckets[dist]), HORIZON))
-    toy, _ = fit_toy_model(distances, probs, const_v)
-    models = RouterModels(toy=toy, fill=fill, cleanup=cleanup, constant_cleanup=const_v, trained_span=span)
+    models, _ = fit_router_models(*record_columns(kept), fill, cleanup, HORIZON)
     eligible = select_eligible(
         test_records, HORIZON, test_res.diagnostics.average_trade_size,
         EligibilityConfig(max_size_ats_multiple=5.0),

@@ -9,19 +9,29 @@ from lobkit.backtest import (
     MODEL_I,
     MODEL_II,
     MODEL_III,
+    TOY_MIN_BUCKET,
     EligibilityConfig,
     MissingPriceMove,
     PeriodOverlap,
     RouterModels,
     _metrics,
+    fit_router_models,
     label_outcome,
+    matrix_columns,
+    record_columns,
     run_backtest,
     select_eligible,
 )
-from lobkit.features import FEATURE_COLUMNS, FeatureVector
-from lobkit.messages import Side
-from lobkit.placement import FEE_TABLE, ZERO_FEES, ToyModel
-from lobkit.replay import OrderLifecycle, Outcome
+from lobkit.features import FEATURE_COLUMNS, FeatureVector, feature_matrix
+from lobkit.fill_model import build_training_matrix, stratified_censoring_survival
+from lobkit.io import read_matrix, write_matrix
+from lobkit.messages import InstrumentConfig, Side
+from lobkit.placement import FEE_TABLE, ZERO_FEES, InsufficientBuckets, ToyModel, fit_toy_model
+from lobkit.replay import OrderLifecycle, Outcome, track_lifecycles
+from lobkit.survival import Observation, fill_probability_at, post_and_wait_fill
+from lobkit.synth import generate_flow
+
+from test_acceptance import HORIZON, _planted_regime_config
 
 
 def _fv(delta=2.0, spread=6.0):
@@ -274,3 +284,117 @@ def test_model_spec_components():
     assert (MODEL_I.fill, MODEL_I.cleanup) == ("exponential", "constant")
     assert (MODEL_II.fill, MODEL_II.cleanup) == ("mlp", "constant")
     assert (MODEL_III.fill, MODEL_III.cleanup) == ("mlp", "mlp")
+
+
+# ---------------------------------------------------------------------------
+# fit_router_models against the CLI's former inline fit
+# ---------------------------------------------------------------------------
+
+
+def _inline_cli_fit(X, meta, horizon):
+    """Model I's fit and the constant clean-up cost exactly as ``cmd_backtest`` computed them inline:
+    (toy model, flat flag, constant V, trained span)."""
+    delta_idx = FEATURE_COLUMNS.index("delta")
+    spread_idx = FEATURE_COLUMNS.index("spread")
+    ask_distance = X[:, delta_idx] + X[:, spread_idx]
+    obs_by_bucket: dict[int, list[Observation]] = {}
+    for d, m in zip(ask_distance, meta):
+        obs_by_bucket.setdefault(int(round(d)), []).append(Observation(m["outcome_time"], int(m["outcome"])))
+    distances, probs = [], []
+    for d in sorted(obs_by_bucket):
+        bucket = obs_by_bucket[d]
+        if len(bucket) < 30:
+            continue
+        distances.append(d)
+        probs.append(fill_probability_at(post_and_wait_fill(bucket), horizon))
+    cleanup_targets = [
+        m["dp_ask_horizon"]
+        for m in meta
+        if m["outcome_time"] > horizon and m["dp_ask_horizon"] is not None
+    ]
+    constant_v = float(np.mean(cleanup_targets)) if cleanup_targets else 0.0
+    toy, flat = fit_toy_model(distances, probs, constant_v)
+    span = (min(m["insert_ts"] for m in meta), max(m["insert_ts"] for m in meta))
+    return toy, flat, constant_v, span
+
+
+def _assert_fit_equals(expected, models, fit):
+    toy, flat, constant_v, span = expected
+    assert models.toy == toy  # amplitude, decay and clean-up compared with ==
+    assert fit.flat == flat
+    assert models.constant_cleanup == constant_v
+    assert models.trained_span == span
+
+
+def _meta(records):
+    return [
+        dict(outcome=r.outcome, outcome_time=r.outcome_time, dp_ask_horizon=r.dp_ask_horizon, insert_ts=r.insert_ts)
+        for r in records
+    ]
+
+
+@pytest.fixture(scope="module")
+def acceptance_training_rows():
+    """Criterion 9's training rows at seed 1: the kept lifecycles with their labels and weights."""
+    inst = InstrumentConfig(tick_size=0.01, horizon=HORIZON, depth_mode="bps", depth_value=30.0, trade_window=30)
+    messages, truth = generate_flow(_planted_regime_config(1, 1_700_000_000_000_000_000), 240.0)
+    ids = {t.order_id for t in truth}
+    records = [r for r in track_lifecycles(messages, inst).records if r.order_id in ids]
+    _, y, w, kept, _ = build_training_matrix(records, HORIZON, stratified_censoring_survival(records))
+    return kept, y, w
+
+
+def test_fit_router_models_on_the_acceptance_rows(acceptance_training_rows, tmp_path):
+    kept, y, w = acceptance_training_rows
+    write_matrix(tmp_path / "matrix.csv", kept, y, w)
+    X, _, _, meta = read_matrix(tmp_path / "matrix.csv")
+    from_matrix = fit_router_models(*matrix_columns(X, meta), None, None, HORIZON)
+    from_records = fit_router_models(*record_columns(kept), None, None, HORIZON)
+    _assert_fit_equals(_inline_cli_fit(X, meta, HORIZON), *from_matrix)
+    assert from_records == from_matrix
+    assert from_matrix[1].thin_buckets > 0 and len(from_matrix[1].distances) >= 3
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(
+    buckets=st.lists(
+        st.tuples(st.integers(-4, 8), st.sampled_from([3, 29, 30, 31, 40, 45])), min_size=3, max_size=6,
+        unique_by=lambda b: b[0],
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    cleanup=st.booleans(),
+)
+@example(buckets=[(-3, 29), (-1, 30), (2, 30), (5, 31)], seed=1, cleanup=True)
+@example(buckets=[(-2, 30), (0, 30), (3, 29), (4, 34)], seed=2, cleanup=False)
+def test_fit_router_models_equals_the_inline_cli_fit(buckets, seed, cleanup):
+    """Buckets of 29 and 30 rows, negative ask distances, outcomes at the horizon,
+    partial windows and, without ``cleanup``, no row that qualifies for the clean-up cost."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for distance, count in buckets:
+        for _ in range(count):
+            spread = int(rng.integers(1, 6))
+            rec = _record(
+                1.0 if rng.random() < 0.1 else float(rng.uniform(0.05, 2.5)),  # some end at the horizon itself
+                Outcome(int(rng.integers(0, 3))),
+                dp=float(rng.normal(0.0, 3.0)) if cleanup and rng.random() < 0.7 else None,
+                ts=int(rng.integers(0, 10**12)),
+            )
+            rec.features.delta, rec.features.spread = float(distance - spread), float(spread)
+            rec.features.partial_window = bool(rng.random() < 0.2)
+            records.append(rec)
+    X, meta = feature_matrix(r.features for r in records), _meta(records)
+    try:
+        expected = _inline_cli_fit(X, meta, 1.0)
+    except InsufficientBuckets:
+        with pytest.raises(InsufficientBuckets):
+            fit_router_models(*matrix_columns(X, meta), None, None, 1.0)
+        return
+    from_matrix = fit_router_models(*matrix_columns(X, meta), None, None, 1.0)
+    _assert_fit_equals(expected, *from_matrix)
+    assert from_matrix == fit_router_models(*record_columns(records), None, None, 1.0)
+    models, fit = from_matrix
+    assert fit.distances == sorted(d for d, n in buckets if n >= TOY_MIN_BUCKET)
+    assert fit.thin_buckets == sum(n < TOY_MIN_BUCKET for _, n in buckets)
+    if not cleanup:
+        assert models.constant_cleanup == 0.0

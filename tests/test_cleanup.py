@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from lobkit.backtest import constant_cleanup
 from lobkit.cleanup import (
     CleanupModel,
     bucket_estimate,
     collect_cleanup_samples,
-    constant_cleanup,
     train_cleanup_model,
     winsorize,
 )
@@ -80,6 +80,7 @@ def test_collect_hand_enumerated_scripted_day():
     assert [s.target for s in samples] == expected
     assert report.unmeasurable == 1
     assert report.died_within_horizon == 3
+    assert (report.read, report.kept) == (len(spec), len(expected))
 
 
 def test_collect_partial_window_exclusion_toggle():
@@ -97,7 +98,8 @@ def test_constant_cleanup_is_mean():
         _record(2.0, Outcome.CANCELLED, dp=3.0, oid="b"),
     ]
     samples, _ = collect_cleanup_samples(records, horizon=1.0)
-    assert constant_cleanup(samples) == 2.0
+    assert constant_cleanup([s.target for s in samples]) == 2.0
+    assert constant_cleanup([]) == 0.0  # no qualifying row: Models I and II price no clean-up
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,19 @@ def test_full_pipeline_through_cli(pipeline):
     assert "metrics.json" in html and "<svg" in html
 
 
+def test_cleanup_and_backtest_reports_count_what_the_fits_dropped(pipeline):
+    d = pipeline
+    cleanup = json.loads((d / "cleanup_report.json").read_text())
+    rows = cleanup["cleanup_rows"]
+    assert rows["kept"] == cleanup["rows"] > 0
+    assert rows["read"] == rows["kept"] + rows["died_within_horizon"] + rows["unmeasurable"] + rows["partial_window"]
+    assert rows["read"] == len((d / "matrix.csv").read_text().splitlines()) - 1
+    metrics = json.loads((d / "metrics.json").read_text())
+    assert len(metrics["toy_distances"]) >= 3 and metrics["toy_distances"] == sorted(metrics["toy_distances"])
+    assert metrics["toy_thin_buckets"] >= 0
+    assert metrics["constant_cleanup_ticks"] == cleanup["constant_baseline"]
+
+
 def test_replay_diagnostics_report_every_counter(pipeline):
     diag = json.loads((pipeline / "diag.json").read_text())
     expected = {f.name for f in dataclasses.fields(ReplayDiagnostics)} | {"records", "average_trade_size"}

@@ -13,7 +13,10 @@ end-to-end metric in ``BENCHMARK.json`` it prints each side's median and
 quartiles, the change/base ratio of the medians, the pairs the change won
 (ties count for neither side), whether a gain holds (wins in at least nine
 tenths of the pairs and medians further apart than the base's interquartile
-range) and whether the change stays inside the metric's bound.  It also says
+range) and whether the change stays inside the metric's bound: ``ok``,
+``WORSE``, or ``unresolved`` when the base's interquartile range is wider than
+the bound and not every change run beats every base run, so the runs are too
+spread to tell whether the bound holds.  It also says
 whether every run wrote the same artifact digests and how many operations
 failed.
 
@@ -120,6 +123,7 @@ def summarize(pairs: list[dict], spec: dict) -> dict:
         change = [p["change"]["metrics"][name] for p in pairs]
         (bq1, bmed, bq3), (cq1, cmed, cq3) = spread(base), spread(change)
         wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
+        beats_every_base_run = max(change) < min(base) if lower else min(change) > max(base)
         better = cmed < bmed if lower else cmed > bmed
         worse_by = (cmed - bmed if lower else bmed - cmed) / abs(bmed) if bmed else 0.0
         out[name] = {
@@ -131,6 +135,7 @@ def summarize(pairs: list[dict], spec: dict) -> dict:
             "change_wins": wins,
             "gain_holds": better and wins >= 0.9 * len(pairs) and abs(cmed - bmed) > bq3 - bq1,
             "within_bound": worse_by <= metric["bound"],
+            "resolved": bq3 - bq1 <= metric["bound"] * abs(bmed) or beats_every_base_run,
         }
     return out
 
@@ -146,8 +151,9 @@ def report(entry: dict) -> None:
             f"{s[side]['median']:.6g} [{s[side]['q1']:.6g}-{s[side]['q3']:.6g}]" for side in ("base", "change")
         )
         ratio = f"{s['ratio']:.3f}" if s["ratio"] is not None else "-"
+        bound = "WORSE" if not s["within_bound"] else "ok" if s["resolved"] else "unresolved"
         print(f"  {name:24}{base:34}{change:34} {ratio:5}  {s['change_wins']:<4}  "
-              f"{'yes' if s['gain_holds'] else 'no':4}  {'ok' if s['within_bound'] else 'WORSE'}")
+              f"{'yes' if s['gain_holds'] else 'no':4}  {bound}")
 
 
 def main(argv: list[str] | None = None) -> int:
