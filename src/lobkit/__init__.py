@@ -15,13 +15,11 @@ from .cleanup import (
 from .features import FEATURE_COLUMNS, FeatureVector, RollingWindows
 from .fill_model import (
     FillModel,
-    RegimeFillModels,
     build_training_matrix,
     censoring_survival,
     ipcw_weights,
     stratified_censoring_survival,
     train_fill_model,
-    train_fill_model_per_regime,
 )
 from .messages import InstrumentConfig, Level3Message, MessageKind, Side, read_messages, write_messages
 from .mlp import MLP, TrainConfig, gradient_check, permutation_importance, train_mlp

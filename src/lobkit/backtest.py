@@ -149,7 +149,6 @@ def fit_router_models(
 
 @dataclass
 class EligibilityConfig:
-    min_size: float = 0.0
     max_size_ats_multiple: float = 5.0
     max_distance: float = math.inf  # ticks
 
@@ -170,7 +169,7 @@ def select_eligible(
         survived = rec.outcome_time > horizon
         if not (filled_in_time or survived):
             continue
-        if not (cfg.min_size <= rec.size <= max_size):
+        if not (0.0 <= rec.size <= max_size):  # drops negative and NaN sizes
             continue
         if rec.features.delta > cfg.max_distance:
             continue

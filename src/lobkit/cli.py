@@ -35,14 +35,7 @@ from .backtest import (
 )
 from .cleanup import CleanupModel, bucket_estimate, cleanup_rows, train_cleanup_model
 from .features import FEATURE_COLUMNS, feature_matrix
-from .fill_model import (
-    FillModel,
-    RegimeFillModels,
-    build_training_matrix,
-    stratified_censoring_survival,
-    train_fill_model,
-    train_fill_model_per_regime,
-)
+from .fill_model import FillModel, build_training_matrix, stratified_censoring_survival, train_fill_model
 from .messages import InstrumentConfig, read_messages, write_messages
 from .mlp import TrainConfig, permutation_importance
 from .placement import (
@@ -257,14 +250,10 @@ def _load_records(args, cfg: PipelineConfig):
 
 def cmd_features(args, cfg: PipelineConfig) -> int:
     records = _load_records(args, cfg)
-    if args.stratified:
-        censoring = stratified_censoring_survival(records)
-    else:
-        censoring = None
     X, y, w, kept, ipcw = build_training_matrix(
         records,
         cfg.horizon,
-        censoring,
+        stratified_censoring_survival(records),
         drop_partial_windows=not args.keep_partial,
         floor=cfg.ipcw_floor,
     )
@@ -310,12 +299,8 @@ def cmd_survival(args, cfg: PipelineConfig) -> int:
 def cmd_train_fill(args, cfg: PipelineConfig) -> int:
     X, y, w, meta = lio.read_matrix(_require(args.matrix, "feature matrix"))
     span = (min(m["insert_ts"] for m in meta), max(m["insert_ts"] for m in meta)) if meta else None
-    train = train_fill_model_per_regime if args.per_regime else train_fill_model
-    model = train(X, y, w, cfg.train_config(args.seed), horizon=cfg.horizon, trained_span=span)
+    model = train_fill_model(X, y, w, cfg.train_config(args.seed), horizon=cfg.horizon, trained_span=span)
     model.save(args.out)
-    if args.per_regime:
-        _write_json(args.report, {"per_regime": True})
-        return 0
     report = dataclasses.asdict(model.report)
     if args.importance:
         n_val = max(1, int(round(len(X) * cfg.val_fraction)))
@@ -369,15 +354,13 @@ def cmd_train_cleanup(args, cfg: PipelineConfig) -> int:
 
 def _load_models(args) -> tuple:
     """The ``--fill-model`` and ``--cleanup-model`` files, each checked
-    against the kinds its option takes and against the feature columns."""
+    against the kind its option takes and against the feature columns."""
     models = []
-    for slot, kinds in (("fill", (FillModel.kind, RegimeFillModels.kind)), ("cleanup", (CleanupModel.kind,))):
+    for slot, kind in (("fill", FillModel.kind), ("cleanup", CleanupModel.kind)):
         path = getattr(args, f"{slot}_model")
         model = lio.load_model(_require(path, f"{slot} model"))
-        if model.kind not in kinds:
-            raise ArtifactInvalid(
-                f"{path}: field 'kind' is {model.kind!r}, but --{slot}-model takes {' or '.join(kinds)}"
-            )
+        if model.kind != kind:
+            raise ArtifactInvalid(f"{path}: field 'kind' is {model.kind!r}, but --{slot}-model takes {kind}")
         if model.columns != FEATURE_COLUMNS:
             raise ArtifactInvalid(f"{path}: field 'columns' is {list(model.columns)}, not {list(FEATURE_COLUMNS)}")
         models.append(model)
@@ -507,8 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--truth", help="restrict to subject orders from a truth sidecar")
     p.add_argument("--keep-partial", action="store_true")
-    p.add_argument("--stratified", action="store_true", default=True)
-    p.add_argument("--no-stratified", dest="stratified", action="store_false")
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("survival", help="estimate survival / incidence curves")
@@ -526,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--report")
     p.add_argument("--importance", action="store_true")
-    p.add_argument("--per-regime", action="store_true")
     p.set_defaults(func=cmd_train_fill)
 
     p = sub.add_parser("train-cleanup", help="train the clean-up cost regressor")

@@ -195,21 +195,6 @@ def build_training_matrix(
 # ---------------------------------------------------------------------------
 
 HIDDEN_LAYERS = (32, 32, 32)
-REGIMES = ("passive", "at_best", "aggressive")
-
-
-def _header(kind: str, columns: Sequence[str], horizon: float, trained_span: tuple[int, int] | None) -> dict:
-    """Fields every model file carries; ``io.load_model`` reads them back."""
-    return {
-        "kind": kind,
-        "columns": list(columns),
-        "horizon": horizon,
-        "trained_span": list(trained_span) if trained_span else None,
-    }
-
-
-def _write(path: str | Path, blob: dict) -> None:
-    Path(path).write_text(json.dumps(blob, sort_keys=True))
 
 
 @dataclass
@@ -228,10 +213,17 @@ class NetModel:
         return self.mlp.predict(X)
 
     def envelope(self) -> dict:
-        return {**_header(self.kind, self.columns, self.horizon, self.trained_span), "mlp": self.mlp.to_dict()}
+        """The model file's fields; ``io.load_model`` reads them back."""
+        return {
+            "kind": self.kind,
+            "columns": list(self.columns),
+            "horizon": self.horizon,
+            "trained_span": list(self.trained_span) if self.trained_span else None,
+            "mlp": self.mlp.to_dict(),
+        }
 
     def save(self, path: str | Path) -> None:
-        _write(path, self.envelope())
+        Path(path).write_text(json.dumps(self.envelope(), sort_keys=True))
 
 
 class FillModel(NetModel):
@@ -258,62 +250,3 @@ def train_fill_model(
     report = train_mlp(mlp, X, y, w, cfg)
     return FillModel(mlp=mlp, columns=tuple(columns), horizon=horizon, trained_span=trained_span, report=report)
 
-
-@dataclass
-class RegimeFillModels:
-    """One classifier per placement regime, dispatched on the distance sign.
-
-    Alternative to the pooled model with regime indicator columns; regimes
-    lacking both classes fall back to the pooled model.
-    """
-
-    kind: ClassVar[str] = "fill-per-regime"
-    passive: FillModel
-    at_best: FillModel
-    aggressive: FillModel
-    columns: tuple[str, ...] = FEATURE_COLUMNS
-    horizon: float = 1.0
-    trained_span: tuple[int, int] | None = None
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """One output per row of the (n, len(columns)) matrix ``X``."""
-        X = np.asarray(X, dtype=float)
-        delta = X[:, self.columns.index("delta")]
-        out = np.empty(len(X))
-        for name, selector in zip(REGIMES, (delta > 0, delta == 0, delta < 0)):
-            if np.any(selector):
-                out[selector] = getattr(self, name).predict(X[selector])
-        return out
-
-    def save(self, path: str | Path) -> None:
-        blob = _header(self.kind, self.columns, self.horizon, self.trained_span)
-        blob.update((name, getattr(self, name).mlp.to_dict()) for name in REGIMES)
-        _write(path, blob)
-
-
-def train_fill_model_per_regime(
-    X: np.ndarray,
-    y: np.ndarray,
-    w: np.ndarray,
-    cfg: TrainConfig,
-    columns: Sequence[str] = FEATURE_COLUMNS,
-    horizon: float = 1.0,
-    trained_span: tuple[int, int] | None = None,
-) -> RegimeFillModels:
-    """Separate passive / at-best / aggressive classifiers."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(w, dtype=float)
-    common = dict(columns=tuple(columns), horizon=horizon, trained_span=trained_span)
-    pooled = train_fill_model(X, y, w, cfg, **common)
-    delta = X[:, list(columns).index("delta")]
-    min_rows = max(64, cfg.batch // 4)
-    parts: dict[str, FillModel] = {}
-    for name, selector in zip(REGIMES, (delta > 0, delta == 0, delta < 0)):
-        rows = np.flatnonzero(selector)
-        active = y[rows][w[rows] > 0]
-        if rows.size < min_rows or active.size == 0 or active.min() == active.max():
-            parts[name] = pooled  # too thin or single-class: share the pooled fit
-            continue
-        parts[name] = train_fill_model(X[rows], y[rows], w[rows], cfg, **common)
-    return RegimeFillModels(**parts, **common)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .cleanup import CleanupModel
 from .features import FEATURE_COLUMNS, FeatureVector, feature_matrix
-from .fill_model import REGIMES, FillModel, RegimeFillModels
+from .fill_model import FillModel
 from .messages import SIDE
 from .mlp import MLP
 from .placement import MarketSnapshot
@@ -201,13 +201,12 @@ def read_snapshot(path: str | Path) -> MarketSnapshot:
         raise ArtifactInvalid(f"{path}: {exc}") from exc
 
 
-def load_model(path: str | Path) -> FillModel | RegimeFillModels | CleanupModel:
+def load_model(path: str | Path) -> FillModel | CleanupModel:
     """Read a model file written by ``save``, dispatching on its ``kind``.
 
-    Every model file is one JSON envelope: ``kind``, ``columns``, ``horizon``
-    and ``trained_span``, then the network under ``mlp`` (kinds ``fill`` and
-    ``cleanup``, the latter with ``winsor_bounds``) or one network per regime
-    under ``passive``, ``at_best`` and ``aggressive`` (kind ``fill-per-regime``).
+    Every model file is one JSON envelope: ``kind`` (``fill`` or
+    ``cleanup``), ``columns``, ``horizon``, ``trained_span`` and the network
+    under ``mlp``; a ``cleanup`` file adds ``winsor_bounds``.
     """
     path = Path(path)
     blob = _json_object(path, "model file")
@@ -217,23 +216,18 @@ def load_model(path: str | Path) -> FillModel | RegimeFillModels | CleanupModel:
             raise ArtifactInvalid(f"{path}: required field {name!r} is missing")
         return blob[name]
 
-    def net(name: str) -> MLP:
-        value = field(name)
+    def net() -> MLP:
         try:
-            return MLP.from_dict(value)
+            return MLP.from_dict(field("mlp"))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ArtifactInvalid(f"{path}: field {name!r} is not a network ({exc!r})") from exc
+            raise ArtifactInvalid(f"{path}: field 'mlp' is not a network ({exc!r})") from exc
 
     kind = field("kind")
     span = field("trained_span")
     common = dict(columns=tuple(field("columns")), horizon=field("horizon"), trained_span=tuple(span) if span else None)
     if kind == FillModel.kind:
-        return FillModel(mlp=net("mlp"), **common)
+        return FillModel(mlp=net(), **common)
     if kind == CleanupModel.kind:
         bounds = field("winsor_bounds")
-        return CleanupModel(mlp=net("mlp"), winsor_bounds=tuple(bounds) if bounds else None, **common)
-    if kind == RegimeFillModels.kind:
-        parts = {name: FillModel(mlp=net(name), **common) for name in REGIMES}
-        return RegimeFillModels(**parts, **common)
-    kinds = (FillModel.kind, RegimeFillModels.kind, CleanupModel.kind)
-    raise ArtifactInvalid(f"{path}: field 'kind' is {kind!r}, not one of {', '.join(kinds)}")
+        return CleanupModel(mlp=net(), winsor_bounds=tuple(bounds) if bounds else None, **common)
+    raise ArtifactInvalid(f"{path}: field 'kind' is {kind!r}, not {FillModel.kind} or {CleanupModel.kind}")

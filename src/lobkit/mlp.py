@@ -166,6 +166,9 @@ class MLP:
 # ---------------------------------------------------------------------------
 
 
+MOMENTUM = 0.9  # SGD velocity decay per minibatch
+
+
 @dataclass
 class TrainConfig:
     lr: float = 1e-3
@@ -173,7 +176,6 @@ class TrainConfig:
     epochs: int = 100
     seed: int = 0
     patience: int = 5
-    momentum: float = 0.9
     val_fraction: float = 0.2
 
 
@@ -226,8 +228,8 @@ def train_mlp(model: MLP, X: np.ndarray, y: np.ndarray, w: np.ndarray, cfg: Trai
             epoch_loss += loss * mass
             epoch_mass += mass
             for i in range(len(model.weights)):
-                vel_w[i] = cfg.momentum * vel_w[i] - cfg.lr * gw[i]
-                vel_b[i] = cfg.momentum * vel_b[i] - cfg.lr * gb[i]
+                vel_w[i] = MOMENTUM * vel_w[i] - cfg.lr * gw[i]
+                vel_b[i] = MOMENTUM * vel_b[i] - cfg.lr * gb[i]
                 model.weights[i] += vel_w[i]
                 model.biases[i] += vel_b[i]
         report.train_loss.append(epoch_loss / epoch_mass if epoch_mass > 0 else 0.0)

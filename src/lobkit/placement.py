@@ -307,6 +307,10 @@ def optimal_distance(
 # ---------------------------------------------------------------------------
 
 
+#: The smallest decay a fit reports; a flatter fit is flagged and raised to it.
+FLAT_DECAY = 1e-6
+
+
 @dataclass
 class ToyModel:
     """Fill probability ``A * exp(-k * d)`` of the ask-relative distance ``d``,
@@ -352,13 +356,12 @@ def fit_toy_model(
     ask_distances: Sequence[float],
     fill_probabilities: Sequence[float],
     cleanup: float,
-    flat_tolerance: float = 1e-6,
 ) -> tuple[ToyModel, bool]:
     """Least-squares exponential fit of per-distance fill probabilities.
 
-    Returns the fitted model and a flag raised when the decay is
-    indistinguishable from flat.  Buckets with zero fill probability cannot
-    enter the log fit and are dropped.
+    Returns the fitted model and a flag raised when the decay is below
+    ``FLAT_DECAY``, which then stands in for it.  Buckets with zero fill
+    probability cannot enter the log fit and are dropped.
     """
     pairs = [(d, f) for d, f in zip(ask_distances, fill_probabilities) if f > 0]
     if len(pairs) < 3:
@@ -367,8 +370,8 @@ def fit_toy_model(
     logf = np.log(np.array([p[1] for p in pairs]))
     slope, intercept = np.polyfit(d, logf, 1)
     amplitude = min(float(np.exp(intercept)), 1.0)
-    decay = max(-float(slope), flat_tolerance)
-    flat = -float(slope) < flat_tolerance
+    decay = max(-float(slope), FLAT_DECAY)
+    flat = -float(slope) < FLAT_DECAY
     return ToyModel(amplitude=amplitude, decay=decay, cleanup=cleanup), flat
 
 
@@ -445,6 +448,10 @@ def empirical_move_distribution(moves: Sequence[float]) -> tuple[Callable[[float
     return cdf, tail
 
 
+#: The farthest distance, in ticks, that ``distance_spread_surface`` sweeps.
+SURFACE_MAX_DISTANCE = 20
+
+
 def distance_spread_surface(
     snapshot: MarketSnapshot,
     quantity: float,
@@ -452,12 +459,12 @@ def distance_spread_surface(
     fill_model,
     cleanup_model,
     spreads: Sequence[int],
-    depth: int = 20,
 ) -> list[dict]:
     """Saved-cost surface over hypothetical spreads, with the optimum marked.
 
     The best bid and the non-distance features are held at the snapshot's
-    values while the ask moves to realize each spread.
+    values while the ask moves to realize each spread; each spread sweeps
+    every admissible distance out to ``SURFACE_MAX_DISTANCE``.
     """
     rows: list[dict] = []
     for spread in spreads:
@@ -469,7 +476,7 @@ def distance_spread_surface(
             tick_size=snapshot.tick_size,
             features=snapshot.features,
         )
-        decision = optimal_distance(hypo, quantity, fees, fill_model, cleanup_model, (-spread + 1, depth))
+        decision = optimal_distance(hypo, quantity, fees, fill_model, cleanup_model, (-spread + 1, SURFACE_MAX_DISTANCE))
         rows.extend(
             dict(spread=spread, delta=d, fill_probability=f, cleanup_ticks=v, saved_cost=s, is_optimum=d == decision.distance)
             for d, f, v, s in decision.curve.rows()

@@ -86,6 +86,14 @@ def normal_quantile(p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _step_at(times: np.ndarray, start: float, values: np.ndarray, t: float | np.ndarray) -> float | np.ndarray:
+    """The step function worth ``start`` up to ``times[0]`` and ``values[k]``
+    just after ``times[k]``, at ``t`` from the events strictly before it: a
+    float for a scalar ``t``, an array for an array."""
+    out = np.concatenate(([start], values))[np.searchsorted(times, np.asarray(t), side="left")]
+    return float(out) if np.ndim(t) == 0 else out
+
+
 @dataclass
 class SurvivalCurve:
     """Product-limit curve with its risk-set bookkeeping.
@@ -103,10 +111,7 @@ class SurvivalCurve:
 
     def at(self, t: float | np.ndarray) -> float | np.ndarray:
         """Survival at ``t`` using events strictly before ``t``."""
-        idx = np.searchsorted(self.times, np.asarray(t), side="left")
-        padded = np.concatenate(([1.0], self.values))
-        out = padded[idx]
-        return float(out) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
+        return _step_at(self.times, 1.0, self.values, t)
 
 
 @dataclass
@@ -123,23 +128,15 @@ class CIFCurve:
     skipped_terms: int = 0  # risk sets of size <= 1 dropped from the variance
 
     def incidence_at(self, cause: int, t: float | np.ndarray) -> float | np.ndarray:
-        idx = np.searchsorted(self.times, np.asarray(t), side="left")
-        padded = np.concatenate(([0.0], self.cif[cause]))
-        out = padded[idx]
-        return float(out) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
+        return _step_at(self.times, 0.0, self.cif[cause], t)
 
     def survival_at(self, t: float | np.ndarray) -> float | np.ndarray:
-        idx = np.searchsorted(self.times, np.asarray(t), side="left")
-        padded = np.concatenate(([1.0], self.survival))
-        out = padded[idx]
-        return float(out) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
+        return _step_at(self.times, 1.0, self.survival, t)
 
-    def variance_at(self, cause: int, t: float) -> float:
+    def variance_at(self, cause: int, t: float | np.ndarray) -> float | np.ndarray:
         if cause not in self.variance:
             self.variance[cause] = gray_variance(self, cause)
-        idx = np.searchsorted(self.times, t, side="left")
-        padded = np.concatenate(([0.0], self.variance[cause]))
-        return float(padded[idx])
+        return _step_at(self.times, 0.0, self.variance[cause], t)
 
     def confidence_interval(self, cause: int, t: float, alpha: float = 0.05) -> tuple[float, float]:
         f = self.incidence_at(cause, t)

@@ -82,6 +82,15 @@ def test_oversized_orders_excluded():
     assert [r.order_id for r in kept] == ["ok"]
 
 
+def test_negative_and_nan_sizes_excluded():
+    records = [
+        _record(2.0, Outcome.CANCELLED, dp=1.0, size=size, oid=oid)
+        for size, oid in ((-1.0, "negative"), (float("nan"), "nan"), (0.0, "zero"), (1.0, "ok"))
+    ]
+    kept = select_eligible(records, horizon=1.0, average_trade_size=1.0)
+    assert [r.order_id for r in kept] == ["zero", "ok"]
+
+
 def test_fast_cancels_excluded():
     records = [
         _record(0.5, Outcome.CANCELLED, oid="fast"),

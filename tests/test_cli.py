@@ -111,10 +111,6 @@ def pipeline(tmp_path_factory):
         "--out", str(d / "fill.json"), "--report", str(d / "fill_report.json"), "--importance",
     ])
     _run(base + [
-        "train-fill", "--matrix", str(d / "matrix.csv"), "--seed", "7", "--per-regime",
-        "--out", str(d / "fill_regimes.json"), "--report", str(d / "fill_regimes_report.json"),
-    ])
-    _run(base + [
         "train-cleanup", "--matrix", str(d / "matrix.csv"), "--seed", "7",
         "--out", str(d / "cleanup.json"), "--report", str(d / "cleanup_report.json"),
         "--bucket-curve-out", str(d / "vhat_by_vol.csv"),
@@ -168,7 +164,6 @@ def test_full_pipeline_through_cli(pipeline):
     curves = (d / "curves.csv").read_text().splitlines()
     assert curves[0].startswith("bucket_delta,cause,time,incidence")
     assert (d / "grid2d.csv").read_text().splitlines()[0].startswith("bucket_delta,bucket_spread")
-    assert json.loads((d / "fill_regimes.json").read_text())["kind"] == "fill-per-regime"
     assert (d / "vhat_by_vol.csv").read_text().startswith("volatility_lo,volatility_hi")
     assert "permutation_importance" in json.loads((d / "fill_report.json").read_text())
 
@@ -308,7 +303,7 @@ def _backtest(d, fill, cleanup, out, scored="2", matrix=None):
 
 
 @pytest.mark.parametrize("consumer", [_route, _backtest])
-@pytest.mark.parametrize("fill_file", ["fill.json", "fill_regimes.json"])
+@pytest.mark.parametrize("fill_file", ["fill.json"])
 def test_every_fill_model_feeds_every_consumer(pipeline, tmp_path, consumer, fill_file):
     """The fixture already feeds every other artifact to each of its consumers."""
     d = pipeline
@@ -317,9 +312,9 @@ def test_every_fill_model_feeds_every_consumer(pipeline, tmp_path, consumer, fil
     assert json.loads(out.read_text())
 
 
-def test_per_regime_model_scored_on_its_training_period_overlaps(pipeline, tmp_path, capsys):
+def test_fill_model_scored_on_its_training_period_overlaps(pipeline, tmp_path, capsys):
     """The training matrix and the clean-up model come from the other period,
-    so only the per-regime file's own ``trained_span`` can catch the overlap."""
+    so only the fill file's own ``trained_span`` can catch the overlap."""
     d = pipeline
     _run(BASE + [
         "features", "--lifecycles", str(d / "lifecycles2.csv"), "--truth", str(d / "truth2.csv"),
@@ -329,9 +324,9 @@ def test_per_regime_model_scored_on_its_training_period_overlaps(pipeline, tmp_p
         "train-cleanup", "--matrix", str(tmp_path / "matrix2.csv"), "--seed", "7",
         "--out", str(tmp_path / "cleanup2.json"),
     ])
-    lo, hi = json.loads((d / "fill_regimes.json").read_text())["trained_span"]
+    lo, hi = json.loads((d / "fill.json").read_text())["trained_span"]
     args = _backtest(
-        d, d / "fill_regimes.json", tmp_path / "cleanup2.json", tmp_path / "m.json",
+        d, d / "fill.json", tmp_path / "cleanup2.json", tmp_path / "m.json",
         scored="", matrix=tmp_path / "matrix2.csv",
     )
     err = _fails(args, capsys)
@@ -359,8 +354,18 @@ def _no_horizon(d, tmp_path):
     return path, "'horizon'"
 
 
+def _per_regime_envelope(d, tmp_path):
+    """A ``fill-per-regime`` file: one network per placement regime in place of ``mlp``."""
+    blob = json.loads((d / "fill.json").read_text())
+    net = blob.pop("mlp")
+    blob.update(kind="fill-per-regime", passive=net, at_best=net, aggressive=net)
+    path = tmp_path / "fill_regimes.json"
+    path.write_text(json.dumps(blob))
+    return path, "'kind'"
+
+
 @pytest.mark.parametrize("consumer", [_route, _backtest])
-@pytest.mark.parametrize("bad_fill", [_cleanup_as_fill, _renamed_columns, _no_horizon])
+@pytest.mark.parametrize("bad_fill", [_cleanup_as_fill, _renamed_columns, _no_horizon, _per_regime_envelope])
 def test_wrong_or_malformed_fill_model_is_rejected(pipeline, tmp_path, capsys, consumer, bad_fill):
     path, field = bad_fill(pipeline, tmp_path)
     err = _fails(consumer(pipeline, path, pipeline / "cleanup.json", tmp_path / "out.json"), capsys)

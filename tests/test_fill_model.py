@@ -6,13 +6,11 @@ from lobkit.fill_model import (
     DEFAULT_OMEGA_EDGES,
     CensoringModel,
     FillModel,
-    RegimeFillModels,
     build_training_matrix,
     censoring_survival,
     ipcw_weights,
     stratified_censoring_survival,
     train_fill_model,
-    train_fill_model_per_regime,
 )
 from lobkit.io import load_model
 from lobkit.messages import Side
@@ -301,28 +299,6 @@ def test_fill_model_save_load_round_trip(tmp_path):
     assert isinstance(clone, FillModel)
     np.testing.assert_array_equal(model.mlp.predict(X), clone.mlp.predict(X))
     assert clone.columns == ("a", "b", "c", "d")
-
-
-def test_per_regime_models_dispatch_on_distance(tmp_path):
-    rng = np.random.default_rng(5)
-    n = 900
-    delta_col = 0  # FEATURE_COLUMNS starts with delta
-    X = rng.normal(size=(n, len(_fv().to_row())))
-    X[:, delta_col] = rng.choice([-2.0, 0.0, 3.0], size=n)
-    # passive orders fill on feature 3, aggressive on feature 4
-    logits = np.where(X[:, delta_col] > 0, 3 * X[:, 3], np.where(X[:, delta_col] < 0, 3 * X[:, 4], 0.5))
-    y = (rng.random(n) < 1 / (1 + np.exp(-logits))).astype(float)
-    w = np.ones(n)
-    cfg = TrainConfig(lr=0.02, batch=128, epochs=60, seed=6, patience=10)
-    models = train_fill_model_per_regime(X, y, w, cfg, trained_span=(10, 20))
-    batch = models.predict(X[:50])
-    singles = np.concatenate([models.predict(X[i : i + 1]) for i in range(50)])
-    np.testing.assert_allclose(batch, singles, atol=1e-12)
-    path = tmp_path / "regimes.json"
-    models.save(path)
-    clone = load_model(path)
-    assert isinstance(clone, RegimeFillModels) and clone.trained_span == (10, 20)
-    np.testing.assert_array_equal(models.predict(X[:50]), clone.predict(X[:50]))
 
 
 def test_build_training_matrix_drops_partial_windows():

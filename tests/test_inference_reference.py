@@ -30,7 +30,7 @@ from lobkit.backtest import (
 )
 from lobkit.cleanup import train_cleanup_model
 from lobkit.features import FEATURE_COLUMNS, FeatureVector, feature_matrix
-from lobkit.fill_model import train_fill_model, train_fill_model_per_regime
+from lobkit.fill_model import train_fill_model
 from lobkit.messages import Side
 from lobkit.mlp import TrainConfig
 from lobkit.placement import (
@@ -60,7 +60,7 @@ FREE_FIELDS = [
 
 @cache
 def _nets():
-    """(pooled fill, per-regime fill, clean-up) networks trained on random rows."""
+    """(fill, clean-up) networks trained on random rows."""
     rng = np.random.default_rng(17)
     n = 900
     X = rng.normal(size=(n, len(FEATURE_COLUMNS)))
@@ -69,11 +69,10 @@ def _nets():
     logits = 1.0 - 0.4 * X[:, FEATURE_COLUMNS.index("delta")] + X[:, FEATURE_COLUMNS.index("volatility")]
     y = (rng.random(n) < 1 / (1 + np.exp(-logits))).astype(float)
     cfg = TrainConfig(lr=0.01, batch=128, epochs=8, seed=3)
-    pooled = train_fill_model(X, y, np.ones(n), cfg)
-    regimes = train_fill_model_per_regime(X, y, np.ones(n), cfg)
+    fill = train_fill_model(X, y, np.ones(n), cfg)
     targets = 2.0 + X[:, FEATURE_COLUMNS.index("volatility")] + rng.normal(size=n)
     cleanup = train_cleanup_model(X, targets, cfg)
-    return pooled, regimes, cleanup
+    return fill, cleanup
 
 
 class _Flat:
@@ -86,17 +85,12 @@ class _Flat:
         return np.full(len(X), self.value)
 
 
-def _fill_net(kind):
-    pooled, regimes, _ = _nets()
-    return pooled if kind == "pooled" else regimes
-
-
 def _route_models(kind):
     """(fill, clean-up); ``flat`` never fills and expects a falling ask, so every
     distance saves the same positive cost and the tie rule picks the distance."""
     if kind == "flat":
         return _Flat(0.0), _Flat(-3.0)
-    return _fill_net(kind), _nets()[2]
+    return _nets()
 
 
 @st.composite
@@ -165,7 +159,7 @@ def _close(a, b):
     return a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["pooled", "per-regime", "flat"])
+@pytest.mark.parametrize("kind", ["pooled", "flat"])
 @SETTINGS
 @given(case=route_cases())
 def test_optimal_distance_matches_scalar_sweep(kind, case):
@@ -184,7 +178,7 @@ def test_optimal_distance_matches_scalar_sweep(kind, case):
         assert _close(s_got, s)
 
 
-@pytest.mark.parametrize("kind", ["pooled", "per-regime", "flat"])
+@pytest.mark.parametrize("kind", ["pooled", "flat"])
 @SETTINGS
 @given(case=route_cases())
 def test_candidate_matrix_and_sweep_equal_scalar_path(kind, case):
@@ -254,21 +248,22 @@ def _per_record_decisions(records, specs, models, fees):
     return decisions
 
 
-def _router_models(fill_kind, fill=None) -> RouterModels:
+def _router_models(fill=None) -> RouterModels:
+    net, cleanup = _nets()
     return RouterModels(
         toy=ToyModel(amplitude=0.8, decay=0.3, cleanup=2.0),
-        fill=_fill_net(fill_kind) if fill is None else fill,
-        cleanup=_nets()[2],
+        fill=net if fill is None else fill,
+        cleanup=cleanup,
         constant_cleanup=2.0,
     )
 
 
-@pytest.mark.parametrize("fill_kind", ["pooled", "per-regime"])
+@pytest.mark.parametrize("fill_kind", ["pooled"])  # the id names the one fill network kind
 @SETTINGS
 @given(records=st.lists(lifecycles(), min_size=1, max_size=30), fees=FEES)
 def test_run_backtest_matches_per_record_reference(fill_kind, records, fees):
     specs = [MODEL_I, MODEL_II, MODEL_III]
-    models = _router_models(fill_kind)
+    models = _router_models()
     report = run_backtest(records, specs, models, fees, HORIZON, TICK)
     assert report.decisions == _per_record_decisions(records, specs, models, fees)
 
@@ -279,7 +274,7 @@ def test_run_backtest_matches_per_record_reference(fill_kind, records, fees):
 def test_backtest_saved_costs_equal_scalar_path(fees, records):
     """Same predictions in, the same floats out: every spec's saved costs and decisions are ``==``."""
     specs = [MODEL_I, MODEL_II, MODEL_III]
-    models = _router_models("pooled")
+    models = _router_models()
     used = [rec for rec in records if label_outcome(rec, HORIZON) is not None]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -306,7 +301,7 @@ def _filled_record(side, spread, delta, order_id="r"):
 def test_backtest_rejects_fill_outside_unit_interval(fill):
     records = [_filled_record(Side.BID, 2, 1), _filled_record(Side.ASK, 3, -1)]
     with pytest.raises(ValueError, match="fill probability"):
-        run_backtest(records, [MODEL_II], _router_models("pooled", fill=_Flat(fill)), ZERO_FEES, HORIZON, TICK)
+        run_backtest(records, [MODEL_II], _router_models(fill=_Flat(fill)), ZERO_FEES, HORIZON, TICK)
     with pytest.raises(ValueError, match="fill probability"):
         saved_cost(_record_snapshot(records[0]), 1, ZERO_FEES, fill, 0.0)
 
@@ -320,7 +315,7 @@ def test_backtest_rejects_what_the_scalar_path_rejects(side, spread, delta, erro
     """The array checks raise what ``MarketSnapshot`` and ``saved_cost`` raise, naming the first bad record."""
     records = [_filled_record(side, 2, 0, "ok"), *(_filled_record(side, spread, delta, oid) for oid in ("bad", "later"))]
     with pytest.raises(error) as raised:
-        run_backtest(records, [MODEL_I, MODEL_III], _router_models("pooled"), ZERO_FEES, HORIZON, TICK)
+        run_backtest(records, [MODEL_I, MODEL_III], _router_models(), ZERO_FEES, HORIZON, TICK)
     assert type(raised.value) is error and "order bad" in str(raised.value)
     with pytest.raises(error) as scalar:
         saved_cost(_record_snapshot(records[1]), delta, ZERO_FEES, 0.5, 0.0)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lobkit.features import FeatureVector
 from lobkit.messages import Side
@@ -25,6 +27,52 @@ from lobkit.survival import (
 
 def obs(*triples):
     return [Observation(t, c, w) for t, c, w in triples]
+
+
+# ---------------------------------------------------------------------------
+# Step lookups
+# ---------------------------------------------------------------------------
+
+
+def _reference_step(times, start, values, t):
+    """The lookup each curve method once carried its own copy of."""
+    idx = np.searchsorted(times, np.asarray(t), side="left")
+    padded = np.concatenate(([start], values))
+    out = padded[idx]
+    return float(out) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
+
+
+@st.composite
+def curve_queries(draw):
+    """Observations on a coarse grid (so times tie), and query times at,
+    between, before and after the event times, as a scalar or an array."""
+    triples = draw(st.lists(
+        st.tuples(st.integers(1, 12), st.integers(0, 2), st.sampled_from([0.5, 1.0, 2.0])), min_size=1, max_size=25,
+    ))
+    observations = obs(*((k / 4.0, cause, w) for k, cause, w in triples))
+    times = sorted({o.time for o in observations})
+    candidates = [0.1, *times, *((a + b) / 2.0 for a, b in zip(times, times[1:])), times[-1] + 1.0]
+    queries = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=8))
+    t = draw(st.sampled_from([queries[0], np.float64(queries[0]), np.asarray(queries[0]), np.array(queries)]))
+    return observations, t
+
+
+def _same(got, expected):
+    assert type(got) is type(expected)
+    assert np.array_equal(got, expected)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(case=curve_queries())
+def test_every_curve_lookup_equals_the_reference_step(case):
+    observations, t = case
+    km = kaplan_meier(observations)
+    _same(km.at(t), _reference_step(km.times, 1.0, km.values, t))
+    aj = aalen_johansen(observations)
+    _same(aj.survival_at(t), _reference_step(aj.times, 1.0, aj.survival, t))
+    for cause in (CAUSE_EXECUTION, CAUSE_CANCELLATION):
+        _same(aj.incidence_at(cause, t), _reference_step(aj.times, 0.0, aj.cif[cause], t))
+        _same(aj.variance_at(cause, t), _reference_step(aj.times, 0.0, gray_variance(aj, cause), t))
 
 
 # ---------------------------------------------------------------------------
