@@ -45,10 +45,10 @@ for up_probability, label in ((0.5, "driftless"), (0.8, "drift +3 ticks/s")):
     drift = 5.0 * (2 * up_probability - 1)
     print(f"\n{label}: {report.kept} qualifying orders "
           f"({report.died_within_horizon} died within the horizon, {report.unmeasurable} unmeasurable)")
-    v_bar = constant_cleanup([s.target for s in samples])
+    v_bar = constant_cleanup([s.dp_ask_horizon for s in samples])
     print(f"  constant baseline V-bar = {v_bar:+.3f} ticks (planted {drift:+.1f})")
     curve = bucket_estimate(
-        [s.features.delta for s in samples], [s.target for s in samples],
+        [s.features.delta for s in samples], [s.dp_ask_horizon for s in samples],
         edges=[0.5, 1.5, 2.5, 3.5, 4.5], min_count=40,
     )
     for mid, mean, se, n in zip(curve.mids, curve.means, curve.std_errors, curve.counts):

@@ -6,7 +6,6 @@ from .book import BookState, CrossedBook, SequenceGap, UnknownOrderId
 from .cleanup import (
     BucketCurve,
     CleanupModel,
-    CleanupSample,
     bucket_estimate,
     cleanup_rows,
     collect_cleanup_samples,
@@ -49,7 +48,6 @@ from .survival import (
     gray_variance,
     kaplan_meier,
     log_log_ci,
-    normal_quantile,
     post_and_wait_fill,
 )
 from .synth import GroundTruthConfig, PiecewiseMultiplier, RegimeSpec, generate_flow, true_fill_probability

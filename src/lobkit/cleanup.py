@@ -13,16 +13,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import FEATURE_COLUMNS, FeatureVector, feature_matrix
+from .features import FEATURE_COLUMNS, feature_matrix
 from .fill_model import HIDDEN_LAYERS, NetModel
 from .mlp import MLP, TrainConfig, train_mlp
 from .replay import OrderLifecycle
-
-
-@dataclass(slots=True)
-class CleanupSample:
-    features: FeatureVector
-    target: float  # best-ask move over the horizon, ticks
 
 
 @dataclass
@@ -65,11 +59,11 @@ def collect_cleanup_samples(
     records: Sequence[OrderLifecycle],
     horizon: float,
     drop_partial_windows: bool = True,
-) -> tuple[list[CleanupSample], CollectionReport]:
-    """Samples from the records ``cleanup_rows`` keeps."""
+) -> tuple[list[OrderLifecycle], CollectionReport]:
+    """The records ``cleanup_rows`` keeps; each one's target is its ``dp_ask_horizon``."""
     partial = [r.features.partial_window for r in records] if drop_partial_windows else None
     rows, report = cleanup_rows([r.outcome_time for r in records], [r.dp_ask_horizon for r in records], horizon, partial)
-    return [CleanupSample(records[i].features, records[i].dp_ask_horizon) for i in rows], report
+    return [records[i] for i in rows], report
 
 
 @dataclass
@@ -160,5 +154,6 @@ def train_cleanup_model(
     )
 
 
-def samples_to_matrix(samples: Sequence[CleanupSample]) -> tuple[np.ndarray, np.ndarray]:
-    return feature_matrix(s.features for s in samples), np.array([s.target for s in samples], dtype=float)
+def samples_to_matrix(samples: Sequence[OrderLifecycle]) -> tuple[np.ndarray, np.ndarray]:
+    """Feature rows and ask-move targets (ticks) of clean-up samples."""
+    return feature_matrix(s.features for s in samples), np.array([s.dp_ask_horizon for s in samples], dtype=float)

@@ -37,7 +37,7 @@ from .cleanup import CleanupModel, bucket_estimate, cleanup_rows, train_cleanup_
 from .features import FEATURE_COLUMNS, feature_matrix
 from .fill_model import FillModel, build_training_matrix, stratified_censoring_survival, train_fill_model
 from .messages import InstrumentConfig, read_messages, write_messages
-from .mlp import TrainConfig, permutation_importance
+from .mlp import TrainConfig, held_out_rows, permutation_importance
 from .placement import (
     FEE_TABLE,
     ZERO_FEES,
@@ -254,7 +254,6 @@ def cmd_features(args, cfg: PipelineConfig) -> int:
         records,
         cfg.horizon,
         stratified_censoring_survival(records),
-        drop_partial_windows=not args.keep_partial,
         floor=cfg.ipcw_floor,
     )
     lio.write_matrix(args.out, kept, y, w)
@@ -299,11 +298,13 @@ def cmd_survival(args, cfg: PipelineConfig) -> int:
 def cmd_train_fill(args, cfg: PipelineConfig) -> int:
     X, y, w, meta = lio.read_matrix(_require(args.matrix, "feature matrix"))
     span = (min(m["insert_ts"] for m in meta), max(m["insert_ts"] for m in meta)) if meta else None
+    n_val = held_out_rows(len(X), cfg.val_fraction)
+    if args.importance and n_val == 0:
+        raise ConfigInvalid(f"--importance needs held-out rows, but val_fraction {cfg.val_fraction} holds out none of {len(X)}")
     model = train_fill_model(X, y, w, cfg.train_config(args.seed), horizon=cfg.horizon, trained_span=span)
     model.save(args.out)
     report = dataclasses.asdict(model.report)
     if args.importance:
-        n_val = max(1, int(round(len(X) * cfg.val_fraction)))
         scores = permutation_importance(
             model.mlp, X[-n_val:], y[-n_val:], w[-n_val:], columns=FEATURE_COLUMNS, seed=args.seed
         )
@@ -316,7 +317,7 @@ def cmd_train_cleanup(args, cfg: PipelineConfig) -> int:
     bucket_col = _feature_column(args.bucket_feature, "--bucket-feature")
     X, _, _, meta = lio.read_matrix(_require(args.matrix, "feature matrix"))
     _, outcome_times, _, ask_moves, insert_ts = matrix_columns(X, meta)
-    rows, collection = cleanup_rows(outcome_times, ask_moves, cfg.horizon)  # a --keep-partial matrix keeps its partial rows
+    rows, collection = cleanup_rows(outcome_times, ask_moves, cfg.horizon)
     if not rows:
         raise ConfigInvalid("no qualifying clean-up rows in the matrix")
     Xc = X[rows]
@@ -367,6 +368,10 @@ def _load_models(args) -> tuple:
     return tuple(models)
 
 
+#: The clean-up cost, in ticks, behind every ``route --decision-map-out`` cell.
+DECISION_MAP_CLEANUP_TICKS = 200.0
+
+
 def cmd_route(args, cfg: PipelineConfig) -> int:
     snapshot = lio.read_snapshot(_require(args.snapshot, "snapshot"))
     fill, cleanup = _load_models(args)
@@ -380,7 +385,7 @@ def cmd_route(args, cfg: PipelineConfig) -> int:
     if args.curve_out:
         write_table(args.curve_out, ("delta", "fill_probability", "cleanup_ticks", "saved_cost"), decision.curve.rows())
     if args.decision_map_out:
-        cells = decision_map(snapshot, args.map_cleanup_ticks, np.linspace(0.0, 1.0, 101))
+        cells = decision_map(snapshot, DECISION_MAP_CLEANUP_TICKS, np.linspace(0.0, 1.0, 101))
         header = ("level", "fill_probability", "saved_cost", "action", "break_even")
         write_table(args.decision_map_out, header, ([cell[k] for k in header] for cell in cells))
     if args.surface_out:
@@ -489,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lifecycles", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--truth", help="restrict to subject orders from a truth sidecar")
-    p.add_argument("--keep-partial", action="store_true")
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("survival", help="estimate survival / incidence curves")
@@ -528,7 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-min", type=int)
     p.add_argument("--delta-max", type=int)
     p.add_argument("--decision-map-out")
-    p.add_argument("--map-cleanup-ticks", type=float, default=200.0)
     p.add_argument("--surface-out")
     p.add_argument("--surface-spread-min", type=int, default=2)
     p.add_argument("--surface-spread-max", type=int, default=12)

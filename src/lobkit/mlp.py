@@ -179,6 +179,11 @@ class TrainConfig:
     val_fraction: float = 0.2
 
 
+def held_out_rows(n: int, val_fraction: float) -> int:
+    """Trailing rows of ``n`` that ``train_mlp`` holds out for validation."""
+    return int(round(n * val_fraction)) if val_fraction > 0 else 0
+
+
 @dataclass
 class TrainingReport:
     train_loss: list[float] = field(default_factory=list)
@@ -198,7 +203,7 @@ def train_mlp(model: MLP, X: np.ndarray, y: np.ndarray, w: np.ndarray, cfg: Trai
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
     n = len(X)
-    n_val = int(round(n * cfg.val_fraction)) if cfg.val_fraction > 0 else 0
+    n_val = held_out_rows(n, cfg.val_fraction)
     n_train = n - n_val
     if n_train < 1:
         raise ValueError("no training rows after the validation split")

@@ -432,22 +432,6 @@ def point_mass_move(value: float, probability: float) -> tuple[Callable[[float],
     return cdf, tail
 
 
-def empirical_move_distribution(moves: Sequence[float]) -> tuple[Callable[[float], float], Callable[[float], float]]:
-    """(CDF, tail mean) of observed latency-window ask moves."""
-    arr = np.sort(np.asarray(moves, dtype=float))
-    if arr.size == 0:
-        raise ValueError("no observed moves")
-
-    def cdf(x: float) -> float:
-        return float(np.searchsorted(arr, x, side="right")) / arr.size
-
-    def tail(x: float) -> float:
-        k = int(np.searchsorted(arr, x, side="right"))
-        return float(arr[:k].mean()) if k > 0 else 0.0
-
-    return cdf, tail
-
-
 #: The farthest distance, in ticks, that ``distance_spread_surface`` sweeps.
 SURFACE_MAX_DISTANCE = 20
 

@@ -13,7 +13,8 @@ strictly before ``t``, so ``curve.at(t_k)`` is the pre-jump value and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import statistics
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,43 +43,6 @@ class Observation:
             raise ValueError(f"duration must be positive, got {self.time}")
         if self.weight < 0 or not math.isfinite(self.weight):
             raise ValueError(f"weight must be finite and >= 0, got {self.weight}")
-
-
-# ---------------------------------------------------------------------------
-# Gaussian quantile (rational approximation, |relative error| < 1.2e-9)
-# ---------------------------------------------------------------------------
-
-_NQ_A = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-         1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-_NQ_B = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-         6.680131188771972e01, -1.328068155288572e01)
-_NQ_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-         -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-_NQ_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-         3.754408661907416e00)
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
-    a, b, c, d = _NQ_A, _NQ_B, _NQ_C, _NQ_D
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    if p > 1.0 - p_low:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-        ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +88,12 @@ class CIFCurve:
     at_risk: np.ndarray
     deaths: dict[int, np.ndarray]  # cause -> d_k^i
     censored: np.ndarray
-    variance: dict[int, np.ndarray] = field(default_factory=dict)
-    skipped_terms: int = 0  # risk sets of size <= 1 dropped from the variance
+
+    @property
+    def skipped_terms(self) -> int:
+        """Event times whose risk set is <= 1, which the variance drops."""
+        d = self.deaths[CAUSE_EXECUTION] + self.deaths[CAUSE_CANCELLATION]
+        return int(np.sum((self.at_risk <= 1) & (d > 0)))
 
     def incidence_at(self, cause: int, t: float | np.ndarray) -> float | np.ndarray:
         return _step_at(self.times, 0.0, self.cif[cause], t)
@@ -134,9 +102,7 @@ class CIFCurve:
         return _step_at(self.times, 1.0, self.survival, t)
 
     def variance_at(self, cause: int, t: float | np.ndarray) -> float | np.ndarray:
-        if cause not in self.variance:
-            self.variance[cause] = gray_variance(self, cause)
-        return _step_at(self.times, 0.0, self.variance[cause], t)
+        return _step_at(self.times, 0.0, gray_variance(self, cause), t)
 
     def confidence_interval(self, cause: int, t: float, alpha: float = 0.05) -> tuple[float, float]:
         f = self.incidence_at(cause, t)
@@ -166,6 +132,12 @@ def _tabulate(obs: Sequence[Observation]):
     return uniq, n, w1, w2, wc
 
 
+def _product_limit(n: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Post-jump survival ``prod(1 - d_k / n_k)``; an empty risk set leaves it flat."""
+    with np.errstate(invalid="ignore"):
+        return np.cumprod(np.where(n > 0, 1.0 - d / np.where(n > 0, n, 1.0), 1.0))
+
+
 def kaplan_meier(
     obs: Sequence[Observation],
     death_causes: tuple[int, ...] = (CAUSE_EXECUTION, CAUSE_CANCELLATION),
@@ -191,20 +163,13 @@ def kaplan_meier(
             c = c + w
             if cause in tie_first_causes:
                 first = first + w
-    denom = n - first
-    with np.errstate(invalid="ignore"):
-        factors = np.where(denom > 0, 1.0 - d / np.where(denom > 0, denom, 1.0), 1.0)
-    values = np.cumprod(factors)
-    return SurvivalCurve(uniq, values, n, d, c)
+    return SurvivalCurve(uniq, _product_limit(n - first, d), n, d, c)
 
 
 def aalen_johansen(obs: Sequence[Observation]) -> CIFCurve:
     """Cause-specific cumulative incidence built on the all-cause curve."""
     uniq, n, w1, w2, wc = _tabulate(obs)
-    d = w1 + w2
-    with np.errstate(invalid="ignore"):
-        factors = np.where(n > 0, 1.0 - d / np.where(n > 0, n, 1.0), 1.0)
-    survival = np.cumprod(factors)
+    survival = _product_limit(n, w1 + w2)
     s_prev = np.concatenate(([1.0], survival[:-1]))
     safe_n = np.where(n > 0, n, 1.0)
     cif1 = np.cumsum(s_prev * w1 / safe_n)
@@ -224,8 +189,8 @@ def gray_variance(curve: CIFCurve, cause: int) -> np.ndarray:
 
     ``out[j]`` estimates the variance of the incidence for horizons in
     ``(times[j], times[j+1]]``.  Terms whose risk set is <= 1 are skipped
-    (the formula divides by ``n_k - 1``) and counted in
-    ``curve.skipped_terms``; negative rounding residue clamps to zero.
+    (the formula divides by ``n_k - 1``; ``curve.skipped_terms`` counts
+    them); negative rounding residue clamps to zero.
     """
     n = curve.at_risk
     d = curve.deaths[CAUSE_EXECUTION] + curve.deaths[CAUSE_CANCELLATION]
@@ -233,7 +198,6 @@ def gray_variance(curve: CIFCurve, cause: int) -> np.ndarray:
     fi = curve.cif[cause]  # post-jump incidence at each event time
     s_prev = np.concatenate(([1.0], curve.survival[:-1]))
     usable = n > 1
-    curve.skipped_terms += int(np.sum(~usable & (d > 0)))
     m = np.where(n > 0, (n - di) / np.where(n > 0, n, 1.0), 0.0)
 
     # expanding (F(t) - F(t_k))^2 and the cross term turns the three sums
@@ -270,7 +234,7 @@ def log_log_ci(fhat: float, var: float, alpha: float = 0.05) -> tuple[float, flo
     if fhat <= 0.0 or fhat >= 1.0 or var == 0.0:
         return (fhat, fhat)
     log_f = math.log(fhat)
-    q = normal_quantile(1.0 - alpha / 2.0)
+    q = statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
     c = q * math.sqrt(var) / (fhat * log_f)
 
     def power(exponent_arg: float) -> float:

@@ -284,7 +284,7 @@ def _cleanup_run(seed: int, up_probability: float):
     samples, _ = collect_cleanup_samples(subjects, 1.0, drop_partial_windows=False)
     curve = bucket_estimate(
         [s.features.delta for s in samples],
-        [s.target for s in samples],
+        [s.dp_ask_horizon for s in samples],
         edges=[0.5, 2.5, 4.5],
         min_count=50,
     )

@@ -5,11 +5,13 @@ from lobkit.backtest import constant_cleanup
 from lobkit.cleanup import (
     CleanupModel,
     bucket_estimate,
+    cleanup_rows,
     collect_cleanup_samples,
+    samples_to_matrix,
     train_cleanup_model,
     winsorize,
 )
-from lobkit.features import FeatureVector
+from lobkit.features import FeatureVector, feature_matrix
 from lobkit.io import load_model
 from lobkit.messages import Side
 from lobkit.mlp import MLP, TrainConfig, gradient_check
@@ -57,7 +59,7 @@ def test_collect_excludes_deaths_within_horizon():
         _record(0.9, Outcome.CENSORED, oid="lost"),
     ]
     samples, report = collect_cleanup_samples(records, horizon=1.0)
-    assert [s.target for s in samples] == [2.0]
+    assert [s.dp_ask_horizon for s in samples] == [2.0]
     assert report.died_within_horizon == 2
     assert report.kept == 1
 
@@ -77,7 +79,7 @@ def test_collect_hand_enumerated_scripted_day():
     ]
     samples, report = collect_cleanup_samples(records, horizon=1.0)
     expected = [dp for _, _, dp, keep in spec if keep]
-    assert [s.target for s in samples] == expected
+    assert [s.dp_ask_horizon for s in samples] == expected
     assert report.unmeasurable == 1
     assert report.died_within_horizon == 3
     assert (report.read, report.kept) == (len(spec), len(expected))
@@ -92,13 +94,31 @@ def test_collect_partial_window_exclusion_toggle():
     assert len(samples) == 1
 
 
+def test_samples_to_matrix_reads_the_records_it_keeps():
+    records = []
+    for i, (t, dp, partial) in enumerate([(2.0, 1.5, False), (0.5, 3.0, False), (1.8, None, False), (3.0, -2.0, True), (2.2, 4.0, False)]):
+        rec = _record(t, Outcome.CANCELLED, dp=dp, oid=f"r{i}")
+        rec.features = _fv(vol=0.5 + i)
+        rec.features.partial_window = partial
+        records.append(rec)
+    # the wrapper path the records replaced: (features, ask move) pairs of the kept rows
+    rows, _ = cleanup_rows([r.outcome_time for r in records], [r.dp_ask_horizon for r in records], 1.0,
+                           [r.features.partial_window for r in records])
+    pairs = [(records[i].features, records[i].dp_ask_horizon) for i in rows]
+    X_ref, y_ref = feature_matrix(f for f, _ in pairs), np.array([dp for _, dp in pairs], dtype=float)
+    samples, _ = collect_cleanup_samples(records, horizon=1.0)
+    X, y = samples_to_matrix(samples)
+    assert len(y) == 2
+    assert np.array_equal(X, X_ref) and np.array_equal(y, y_ref)
+
+
 def test_constant_cleanup_is_mean():
     records = [
         _record(2.0, Outcome.CANCELLED, dp=1.0, oid="a"),
         _record(2.0, Outcome.CANCELLED, dp=3.0, oid="b"),
     ]
     samples, _ = collect_cleanup_samples(records, horizon=1.0)
-    assert constant_cleanup([s.target for s in samples]) == 2.0
+    assert constant_cleanup([s.dp_ask_horizon for s in samples]) == 2.0
     assert constant_cleanup([]) == 0.0  # no qualifying row: Models I and II price no clean-up
 
 

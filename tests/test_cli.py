@@ -293,6 +293,16 @@ def test_empty_route_range_fails_and_writes_no_decision(pipeline, tmp_path, caps
     assert not out.exists()
 
 
+def test_importance_without_held_out_rows_fails_before_training(pipeline, tmp_path, capsys):
+    out = tmp_path / "fill.json"
+    err = _fails(BASE + [
+        "--set", "val_fraction=0", "train-fill", "--matrix", str(pipeline / "matrix.csv"), "--seed", "7",
+        "--out", str(out), "--importance",
+    ], capsys)
+    assert err["error"] == "ConfigInvalid" and "val_fraction" in err["message"]
+    assert not out.exists()
+
+
 def _backtest(d, fill, cleanup, out, scored="2", matrix=None):
     """Scores the second period (``scored="2"``) or the first (``scored=""``)."""
     return BASE + [

@@ -18,7 +18,6 @@ from lobkit.placement import (
     break_even_fill,
     candidate_matrix,
     decision_map,
-    empirical_move_distribution,
     fit_toy_model,
     immediate_cost,
     latency_saved_cost,
@@ -395,8 +394,7 @@ def test_latency_point_mass_direct_substitution():
 
 def test_latency_deep_posting_correction_vanishes():
     snap = MarketSnapshot(best_bid=100.00, best_ask=100.03, tick_size=0.01)
-    moves = [-2.0, -1.0, 0.0, 1.0]  # ask never improves by 40 ticks
-    cdf, tail = empirical_move_distribution(moves)
+    cdf, tail = point_mass_move(-2.0, 0.25)  # ask never improves by 40 ticks
     s = saved_cost(snap, 37, FEE_TABLE[9], 0.2, 1.0)
     assert latency_saved_cost(snap, 37, FEE_TABLE[9], 0.2, 1.0, cdf, tail, 1e-3, 1.0) == s
 

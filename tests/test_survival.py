@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -20,7 +21,6 @@ from lobkit.survival import (
     gray_variance,
     kaplan_meier,
     log_log_ci,
-    normal_quantile,
     post_and_wait_fill,
 )
 
@@ -236,6 +236,25 @@ def test_gray_variance_matches_independent_summation():
     assert curve.skipped_terms == 1  # the n=1 terminal term
 
 
+def test_gray_variance_leaves_the_curve_as_it_was():
+    curve = _toy_curve()
+    skipped = curve.skipped_terms
+    before = copy.deepcopy(vars(curve))
+    gray_variance(curve, CAUSE_EXECUTION)
+    gray_variance(curve, CAUSE_CANCELLATION)
+    curve.variance_at(CAUSE_EXECUTION, 2.5)
+    curve.confidence_interval(CAUSE_CANCELLATION, 3.5)
+    assert skipped == 1 and curve.skipped_terms == skipped
+    after = vars(curve)
+    assert after.keys() == before.keys()
+    for name, value in before.items():
+        if isinstance(value, dict):
+            assert value.keys() == after[name].keys()
+            assert all(np.array_equal(value[k], after[name][k]) for k in value)
+        else:
+            assert np.array_equal(value, after[name])
+
+
 def test_gray_variance_no_deaths_is_zero():
     curve = aalen_johansen(obs((1.0, 0, 1), (2.0, 0, 1), (3.0, 0, 1)))
     assert np.all(gray_variance(curve, CAUSE_EXECUTION) == 0.0)
@@ -332,13 +351,19 @@ def test_loglog_degenerate_values():
     assert log_log_ci(1.0, 0.1) == (1.0, 1.0)
 
 
-def test_normal_quantile_against_scipy():
-    ps = np.concatenate(
-        [np.linspace(1e-10, 0.02, 200), np.linspace(0.02, 0.98, 500), np.linspace(0.98, 1 - 1e-10, 200)]
-    )
-    for p in ps:
-        assert abs(normal_quantile(float(p)) - scipy.special.ndtri(p)) < 1e-8
-    assert normal_quantile(0.975) == pytest.approx(1.959964, abs=1e-6)
+def _log_log_reference(f, var, alpha):
+    """``f ** exp(+-c)`` with scipy's normal quantile, clipped to [0, 1]."""
+    c = scipy.special.ndtri(1.0 - alpha / 2.0) * math.sqrt(var) / (f * math.log(f))
+    lo, hi = sorted((f ** math.exp(-c), f ** math.exp(c)))
+    return max(lo, 0.0), min(hi, 1.0)
+
+
+@pytest.mark.parametrize("f, var, alpha", [(0.5, 0.01, 0.05), (0.2, 0.003, 0.1), (0.9, 0.001, 0.01), (0.05, 1e-4, 0.05)])
+def test_loglog_against_scipy_quantile(f, var, alpha):
+    lo, hi = log_log_ci(f, var, alpha)
+    ref_lo, ref_hi = _log_log_reference(f, var, alpha)
+    assert lo == pytest.approx(ref_lo, rel=1e-12)
+    assert hi == pytest.approx(ref_hi, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
