@@ -36,7 +36,7 @@ def survivors(seed: int, up_probability: float):
     result = track_lifecycles(messages, InstrumentConfig(depth_value=60.0))
     ids = {t.order_id for t in truth}
     subjects = [r for r in result.records if r.order_id in ids]
-    samples, report = collect_cleanup_samples(subjects, horizon=1.0, drop_partial_windows=False)
+    samples, report = collect_cleanup_samples(subjects, horizon=1.0)
     return samples, report
 
 

@@ -8,7 +8,6 @@ qualify; everything else is excluded and counted by reason.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -25,30 +24,25 @@ class CollectionReport:
     kept: int = 0
     died_within_horizon: int = 0
     unmeasurable: int = 0
-    partial_window: int = 0
 
 
 def cleanup_rows(
     outcome_times: Sequence[float],
     ask_moves: Sequence[float | None],
     horizon: float,
-    partial_windows: Sequence[bool] | None = None,
 ) -> tuple[list[int], CollectionReport]:
     """Indices of the rows that qualify as clean-up samples, with each exclusion counted.
 
-    A row qualifies when its outcome comes after the horizon, its ask move was
-    measured and, when ``partial_windows`` is given, its feature window is full.
+    A row qualifies when its outcome comes after the horizon and its ask move
+    was measured.
     """
     rows: list[int] = []
     report = CollectionReport(read=len(outcome_times))
-    partial = repeat(False) if partial_windows is None else partial_windows
-    for i, (outcome_time, move, part) in enumerate(zip(outcome_times, ask_moves, partial)):
+    for i, (outcome_time, move) in enumerate(zip(outcome_times, ask_moves)):
         if outcome_time <= horizon:
             report.died_within_horizon += 1
         elif move is None:
             report.unmeasurable += 1
-        elif part:
-            report.partial_window += 1
         else:
             rows.append(i)
     report.kept = len(rows)
@@ -58,11 +52,10 @@ def cleanup_rows(
 def collect_cleanup_samples(
     records: Sequence[OrderLifecycle],
     horizon: float,
-    drop_partial_windows: bool = True,
 ) -> tuple[list[OrderLifecycle], CollectionReport]:
-    """The records ``cleanup_rows`` keeps; each one's target is its ``dp_ask_horizon``."""
-    partial = [r.features.partial_window for r in records] if drop_partial_windows else None
-    rows, report = cleanup_rows([r.outcome_time for r in records], [r.dp_ask_horizon for r in records], horizon, partial)
+    """The records ``cleanup_rows`` keeps; each one's target is its ``dp_ask_horizon``.
+    Training passes the records ``build_training_matrix`` kept."""
+    rows, report = cleanup_rows([r.outcome_time for r in records], [r.dp_ask_horizon for r in records], horizon)
     return [records[i] for i in rows], report
 
 
@@ -122,8 +115,12 @@ class CleanupModel(NetModel):
         return {**super().envelope(), "winsor_bounds": list(self.winsor_bounds) if self.winsor_bounds else None}
 
 
-def winsorize(targets: np.ndarray, quantiles: tuple[float, float] = (0.001, 0.999)) -> tuple[np.ndarray, tuple[float, float]]:
-    lo, hi = np.quantile(targets, quantiles)
+#: The target quantiles the clean-up regressor clips its training targets to.
+WINSOR_QUANTILES = (0.001, 0.999)
+
+
+def winsorize(targets: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
+    lo, hi = np.quantile(targets, WINSOR_QUANTILES)
     return np.clip(targets, lo, hi), (float(lo), float(hi))
 
 
@@ -133,15 +130,14 @@ def train_cleanup_model(
     cfg: TrainConfig,
     columns: Sequence[str] = FEATURE_COLUMNS,
     horizon: float = 1.0,
-    winsor_quantiles: tuple[float, float] | None = (0.001, 0.999),
     trained_span: tuple[int, int] | None = None,
 ) -> CleanupModel:
     """Squared-loss fit of the identity-head network on winsorized targets."""
     X = np.asarray(X, dtype=float)
     targets = np.asarray(targets, dtype=float)
     bounds = None
-    if winsor_quantiles is not None and len(targets) > 0:
-        targets, bounds = winsorize(targets, winsor_quantiles)
+    if len(targets) > 0:
+        targets, bounds = winsorize(targets)
     mlp = MLP([X.shape[1], *HIDDEN_LAYERS, 1], output="identity", seed=cfg.seed)
     report = train_mlp(mlp, X, targets, np.ones(len(targets)), cfg)
     return CleanupModel(

@@ -146,10 +146,13 @@ def load_config(path: str | None, overrides: Sequence[str]) -> PipelineConfig:
         _assign(cfg, item, "--set")
     try:
         cfg.instrument()
+        cfg.train_config(seed=0)
     except ValueError as exc:
         raise ConfigInvalid(str(exc)) from exc
     if cfg.fee_level not in FEE_TABLE and cfg.fee_level != 0:
         raise ConfigInvalid(f"fee_level must be 0 (no fees) or 1..9, got {cfg.fee_level}")
+    if not 0.0 < cfg.ipcw_floor < 1.0:
+        raise ConfigInvalid(f"ipcw_floor must be in (0, 1), got {cfg.ipcw_floor}")
     return cfg
 
 
@@ -169,6 +172,17 @@ def _feature_column(name: str, option: str) -> int:
     if name not in FEATURE_COLUMNS:
         raise ConfigInvalid(f"{option} {name!r} is not a feature column; choose from {list(FEATURE_COLUMNS)}")
     return FEATURE_COLUMNS.index(name)
+
+
+def _edges(text: str) -> list[float]:
+    """The bucket edges of one ``--edges`` value: two or more strictly increasing numbers."""
+    try:
+        edges = [float(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise ConfigInvalid(f"--edges {text!r}: {exc}") from exc
+    if len(edges) < 2 or any(not a < b for a, b in zip(edges, edges[1:])):
+        raise ConfigInvalid(f"--edges {text!r}: need two or more strictly increasing edges")
+    return edges
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -262,6 +276,9 @@ def cmd_features(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_survival(args, cfg: PipelineConfig) -> int:
+    if len(args.edges) > len(args.by):
+        raise ConfigInvalid(f"--edges given {len(args.edges)} times for {len(args.by)} --by")
+    given_edges = [_edges(text) for text in args.edges]
     records = _load_records(args, cfg)
     obs = observations_from_records(records)
     if args.mode == "post-and-wait":
@@ -275,14 +292,12 @@ def cmd_survival(args, cfg: PipelineConfig) -> int:
         _write_json(None, {"fill_cif_at_horizon": curve.incidence_at(CAUSE_EXECUTION, cfg.horizon)})
         return 0
     by = []
-    edges_list = args.edges or []
     for i, name in enumerate(args.by):
         col = _feature_column(name, "--by")
-        if i < len(edges_list):
-            edges = [float(x) for x in edges_list[i].split(",")]
+        if i < len(given_edges):
+            by.append((name, given_edges[i]))
         else:
-            edges = quantile_edges(feature_matrix(r.features for r in records)[:, col], 5)
-        by.append((name, edges))
+            by.append((name, quantile_edges(feature_matrix(r.features for r in records)[:, col], 5)))
     curves, report = conditional_curves(records, by, min_count=cfg.min_bucket_count)
     lio.write_cif_curves(args.out, curves, [name for name, _ in by])
     _write_json(
@@ -290,6 +305,7 @@ def cmd_survival(args, cfg: PipelineConfig) -> int:
         {
             "buckets_kept": {"/".join(map(str, k)): v for k, v in report.kept.items()},
             "buckets_omitted": {"/".join(map(str, k)): v for k, v in report.omitted.items()},
+            "outside_edges": report.outside,
         },
     )
     return 0
@@ -500,8 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lifecycles", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=("competing", "post-and-wait"), default="competing")
-    p.add_argument("--by", action="append", help="bucket feature (repeat for 2-D)")
-    p.add_argument("--edges", action="append", help="comma-separated edges per --by")
+    p.add_argument("--by", action="append", default=[], help="bucket feature (repeat for 2-D)")
+    p.add_argument("--edges", action="append", default=[], help="comma-separated edges per --by")
     p.add_argument("--truth")
     p.set_defaults(func=cmd_survival)
 

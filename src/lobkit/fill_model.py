@@ -69,14 +69,13 @@ class CensoringModel:
     """
 
     delta_edges: list[float]
-    omega_edges: list[float]
     curves: dict[str, SurvivalCurve] = field(default_factory=dict)
 
     def stratum_of(self, delta: float, omega: float | None) -> str:
         if delta == 0:
             return "at_best"
         if delta < 0:
-            return f"aggressive_{_bucket(self.omega_edges, 0.0 if omega is None else omega)}"
+            return f"aggressive_{_bucket(OMEGA_EDGES, 0.0 if omega is None else omega)}"
         return f"passive_{_bucket(self.delta_edges, delta)}"
 
     def curve_of(self, key: str) -> SurvivalCurve:
@@ -92,13 +91,13 @@ class CensoringModel:
         return float(self.curve_of(self.stratum_of(delta, omega)).at(t))
 
 
-DEFAULT_OMEGA_EDGES = [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0 + 1e-9]
+#: Aggressiveness-index bucket edges of the aggressive strata.
+OMEGA_EDGES = (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0 + 1e-9)
 
 
 def stratified_censoring_survival(
     records: Sequence[OrderLifecycle],
     delta_edges: Sequence[float] | None = None,
-    omega_edges: Sequence[float] | None = None,
     min_count: int = 50,
 ) -> CensoringModel:
     """Per-regime censoring curves; passive deciles by default."""
@@ -110,7 +109,7 @@ def stratified_censoring_survival(
                 delta_edges = [0.0, float("inf")]
         else:
             delta_edges = [0.0, float("inf")]
-    model = CensoringModel(delta_edges=list(delta_edges), omega_edges=list(omega_edges or DEFAULT_OMEGA_EDGES))
+    model = CensoringModel(delta_edges=list(delta_edges))
     groups: dict[str, list[Observation]] = {}
     for rec in records:
         key = model.stratum_of(rec.features.delta, rec.features.aggressiveness)
@@ -136,19 +135,17 @@ class IPCWResult:
 def ipcw_weights(
     records: Sequence[OrderLifecycle],
     horizon: float,
-    censoring: SurvivalCurve | CensoringModel | None = None,
+    censoring: CensoringModel,
     floor: float = 0.01,
 ) -> IPCWResult:
     """Inverse-probability-of-censoring weights at a fixed horizon.
 
     Executed-within-horizon orders get ``1/G(E)``; orders observed alive
     through the horizon get ``1/G(T)``; orders cancelled or censored before
-    ``min(E, T)`` get zero.  ``G`` is evaluated just before the event time,
-    matching the deaths-before-censorings tie rule of the estimator.
+    ``min(E, T)`` get zero.  ``G`` is each record's stratum curve, evaluated
+    just before the event time, matching the deaths-before-censorings tie
+    rule of the estimator.
     """
-    if censoring is None:
-        censoring = censoring_survival([Observation(r.outcome_time, int(r.outcome)) for r in records])
-    stratified = isinstance(censoring, CensoringModel)
     weights = np.zeros(len(records))
     labels = np.zeros(len(records))
     t_eval = np.zeros(len(records))
@@ -165,11 +162,11 @@ def ipcw_weights(
             t_eval[i] = horizon
         else:
             continue  # censored (cancel or feed loss) before min(E, T): weight 0
-        key = censoring.stratum_of(rec.features.delta, rec.features.aggressiveness) if stratified else ""
+        key = censoring.stratum_of(rec.features.delta, rec.features.aggressiveness)
         strata.setdefault(key, []).append(i)
     floored = 0
     for key, rows in strata.items():
-        g = (censoring.curve_of(key) if stratified else censoring).at(t_eval[rows])
+        g = censoring.curve_of(key).at(t_eval[rows])
         low = g < floor
         g[low] = floor
         floored += int(np.count_nonzero(low))
@@ -180,12 +177,12 @@ def ipcw_weights(
 def build_training_matrix(
     records: Sequence[OrderLifecycle],
     horizon: float,
-    censoring: SurvivalCurve | CensoringModel | None = None,
-    drop_partial_windows: bool = True,
+    censoring: CensoringModel,
     floor: float = 0.01,
 ):
-    """(X, y, w, kept_records, ipcw) ready for the classifier."""
-    kept = [r for r in records if not (drop_partial_windows and r.features.partial_window)]
+    """(X, y, w, kept_records, ipcw) ready for the classifier; the one place
+    where records whose feature windows are not yet full are dropped."""
+    kept = [r for r in records if not r.features.partial_window]
     ipcw = ipcw_weights(kept, horizon, censoring, floor=floor)
     return feature_matrix(r.features for r in kept), ipcw.labels, ipcw.weights, kept, ipcw
 

@@ -86,7 +86,6 @@ MATRIX_FIELDS = {
     "label": NUMBER,
     "weight": NUMBER,
     "dp_ask_horizon": optional_number(),
-    "partial_window": FLAG,
     **dict.fromkeys(FEATURE_COLUMNS, NUMBER),
 }
 
@@ -101,7 +100,7 @@ def write_matrix(
     # one matrix, converted row by row: a single tolist() would hold every cell as a Python float at once
     cells = map(np.ndarray.tolist, feature_matrix(r.features for r in records))
     rows = (
-        (r.order_id, r.insert_ts, r.outcome, r.outcome_time, y, w, r.dp_ask_horizon, r.features.partial_window, *row)
+        (r.order_id, r.insert_ts, r.outcome, r.outcome_time, y, w, r.dp_ask_horizon, *row)
         for r, y, w, row in zip(records, labels, weights, cells)
     )
     write_table(path, MATRIX_FIELDS, rows)
@@ -111,14 +110,12 @@ def read_matrix(path: str | Path):
     """(X, y, w, meta) from a feature matrix CSV; meta is a list of dicts."""
     X, y, w, meta = [], [], [], []
     rows = read_table(path, MATRIX_FIELDS)
-    for order_id, insert_ts, outcome, outcome_time, label, weight, dp_ask_horizon, partial, *features in rows:
+    for order_id, insert_ts, outcome, outcome_time, label, weight, dp_ask_horizon, *features in rows:
         X.append(features)
         y.append(label)
         w.append(weight)
-        meta.append(
-            dict(order_id=order_id, insert_ts=insert_ts, outcome=outcome, outcome_time=outcome_time,
-                 dp_ask_horizon=dp_ask_horizon, partial_window=partial)
-        )
+        meta.append(dict(order_id=order_id, insert_ts=insert_ts, outcome=outcome, outcome_time=outcome_time,
+                         dp_ask_horizon=dp_ask_horizon))
     return np.array(X, dtype=float).reshape(-1, len(FEATURE_COLUMNS)), np.asarray(y), np.asarray(w), meta
 
 
@@ -130,8 +127,8 @@ def write_survival_curve(path: str | Path, curve: SurvivalCurve) -> None:
     )
 
 
-def write_cif_curves(path: str | Path, curves: dict[tuple, CIFCurve], by_names: Sequence[str], alpha: float = 0.05) -> None:
-    """Long-format export of bucketed incidence curves with CI bands."""
+def write_cif_curves(path: str | Path, curves: dict[tuple, CIFCurve], by_names: Sequence[str]) -> None:
+    """Long-format export of bucketed incidence curves with 95% log-log bands."""
 
     def rows():
         for key in sorted(curves):
@@ -139,7 +136,7 @@ def write_cif_curves(path: str | Path, curves: dict[tuple, CIFCurve], by_names: 
             for cause, name in ((CAUSE_EXECUTION, "execution"), (CAUSE_CANCELLATION, "cancellation")):
                 var = gray_variance(curve, cause)
                 for t, f, v in zip(curve.times, curve.cif[cause], var):
-                    yield [*key, name, t, f, v, *log_log_ci(float(f), float(v), alpha)]
+                    yield [*key, name, t, f, v, *log_log_ci(float(f), float(v))]
 
     bucket_cols = [f"bucket_{name}" for name in by_names]
     write_table(path, bucket_cols + ["cause", "time", "incidence", "variance", "ci_lo", "ci_hi"], rows())

@@ -178,6 +178,15 @@ class TrainConfig:
     patience: int = 5
     val_fraction: float = 0.2
 
+    def __post_init__(self) -> None:
+        for key, low in (("batch", 1), ("epochs", 1), ("patience", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be at least {low}, got {getattr(self, key)}")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
+        if not 0.0 < self.lr < np.inf:
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+
 
 def held_out_rows(n: int, val_fraction: float) -> int:
     """Trailing rows of ``n`` that ``train_mlp`` holds out for validation."""

@@ -30,8 +30,6 @@ class ConditionViolated(ValueError):
     """Raised when the interior-optimum condition fails; the maximum then
     sits at the smallest admissible ask distance."""
 
-    boundary_distance = 1.0
-
 
 class LatencyTooLarge(ValueError):
     pass
@@ -478,18 +476,17 @@ def decision_map(
     cleanup_ticks: float,
     fill_grid: Sequence[float],
     levels: Sequence[int] = tuple(range(1, 10)),
-    delta: int = 0,
 ) -> list[dict]:
-    """Limit/market cells over fee levels and fill probabilities."""
+    """Limit/market cells over fee levels and fill probabilities, for an order at the touch."""
     cells = []
     for level in levels:
         fees = FEE_TABLE[level]
         try:
-            boundary = break_even_fill(snapshot, delta, fees, cleanup_ticks)
+            boundary = break_even_fill(snapshot, 0, fees, cleanup_ticks)
         except NonpositiveDenominator:
             boundary = None
         for f in fill_grid:
-            s = saved_cost(snapshot, delta, fees, f, cleanup_ticks)
+            s = saved_cost(snapshot, 0, fees, f, cleanup_ticks)
             cells.append(
                 {
                     "level": level,

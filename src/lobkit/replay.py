@@ -61,7 +61,12 @@ class OrderLifecycle:
 
 @dataclass
 class ReplayDiagnostics:
+    """Replay's counters.  Every add the book accepts ends as one record or
+    one exclusion: ``accepted_adds == records + marketable_excluded +
+    depth_excluded + no_reference_skipped``."""
+
     messages: int = 0
+    accepted_adds: int = 0
     gaps: int = 0
     crossed_rejected: int = 0
     unknown_rejected: int = 0
@@ -85,7 +90,6 @@ class ReplayDiagnostics:
 class ReplayResult:
     records: list[OrderLifecycle]
     diagnostics: ReplayDiagnostics
-    book: BookState
 
 
 def _passes_depth_filter(cfg: InstrumentConfig, price: int, mid_before: float, book_after: BookState, side: Side) -> bool:
@@ -166,6 +170,7 @@ def track_lifecycles(stream: Iterable[Level3Message], cfg: InstrumentConfig) -> 
 
         kind = effect.kind
         if kind is ADD:
+            diag.accepted_adds += 1
             windows.push_event(effect.side, ADD, effect.added_size)
             marketable = (
                 last_exec is not None
@@ -212,7 +217,7 @@ def track_lifecycles(stream: Iterable[Level3Message], cfg: InstrumentConfig) -> 
     flush_measurements(prev_ts, drop_after=True)
     for rec in list(live.values()):
         close(rec, Outcome.CENSORED, prev_ts)
-    return ReplayResult(records=records, diagnostics=diag, book=book)
+    return ReplayResult(records=records, diagnostics=diag)
 
 
 def _maybe_track(

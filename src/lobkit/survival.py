@@ -269,6 +269,7 @@ def fill_probability_at(curve: SurvivalCurve, horizon: float) -> float:
 class BucketReport:
     kept: dict[tuple, int]
     omitted: dict[tuple, int]
+    outside: int  # records outside every bucket's edges
 
 
 def observations_from_records(records: Iterable) -> list[Observation]:
@@ -294,17 +295,20 @@ def conditional_curves(
 
     ``by`` gives (feature column, bucket edges) pairs; a record lands in bucket
     ``i`` when its model-row value is in ``[edges[i], edges[i+1])``.  Buckets
-    with fewer than ``min_count`` records are omitted and reported.
+    with fewer than ``min_count`` records are omitted and reported, as are
+    the records outside every bucket.
     """
     if not 1 <= len(by) <= 2:
         raise ValueError("bucketing must use one or two features")
     columns = [FEATURE_COLUMNS.index(name) for name, _ in by]
     groups: dict[tuple, list] = {}
+    outside = 0
     for rec, row in zip(records, feature_matrix(rec.features for rec in records)):
         key = []
         for col, (_, edges) in zip(columns, by):
             idx = int(np.searchsorted(edges, row[col], side="right")) - 1
             if idx < 0 or idx >= len(edges) - 1:
+                outside += 1
                 break
             key.append(idx)
         else:
@@ -319,4 +323,4 @@ def conditional_curves(
             continue
         curves[key] = aalen_johansen(observations_from_records(recs))
         kept[key] = len(recs)
-    return curves, BucketReport(kept=kept, omitted=omitted)
+    return curves, BucketReport(kept=kept, omitted=omitted, outside=outside)

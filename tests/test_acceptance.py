@@ -129,7 +129,8 @@ def test_criterion_3_ipcw_km_equivalence():
                 t = float(max(0.05, np.round(rng.exponential(0.8) * 4) / 4 + 0.05))
                 outcome = Outcome(int(rng.choice([0, 1, 2], p=[0.2, 0.4, 0.4])))
                 records.append(make_record(t, outcome, oid=f"r{i}"))
-            res = ipcw_weights(records, horizon)
+            # every stratum reads the one pooled censoring curve
+            res = ipcw_weights(records, horizon, stratified_censoring_survival(records, min_count=math.inf))
             ipcw_fill = float(np.sum(res.weights * res.labels)) / n
             obs = [Observation(r.outcome_time, int(r.outcome)) for r in records]
             km_fill = fill_probability_at(post_and_wait_fill(obs), horizon)
@@ -281,7 +282,7 @@ def _cleanup_run(seed: int, up_probability: float):
     result = track_lifecycles(msgs, inst)
     truth_ids = {t.order_id for t in truth}
     subjects = [r for r in result.records if r.order_id in truth_ids]
-    samples, _ = collect_cleanup_samples(subjects, 1.0, drop_partial_windows=False)
+    samples, _ = collect_cleanup_samples(subjects, 1.0)
     curve = bucket_estimate(
         [s.features.delta for s in samples],
         [s.dp_ask_horizon for s in samples],

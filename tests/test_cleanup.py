@@ -85,13 +85,13 @@ def test_collect_hand_enumerated_scripted_day():
     assert (report.read, report.kept) == (len(spec), len(expected))
 
 
-def test_collect_partial_window_exclusion_toggle():
+def test_collect_keeps_partial_window_records_it_is_given():
+    # the partial-window rule lives in build_training_matrix; clean-up collection only applies its own two
     rec = _record(2.0, Outcome.CANCELLED, dp=1.0)
     rec.features.partial_window = True
     samples, report = collect_cleanup_samples([rec], horizon=1.0)
-    assert not samples and report.partial_window == 1
-    samples, _ = collect_cleanup_samples([rec], horizon=1.0, drop_partial_windows=False)
-    assert len(samples) == 1
+    assert samples == [rec]
+    assert (report.read, report.kept, report.died_within_horizon, report.unmeasurable) == (1, 1, 0, 0)
 
 
 def test_samples_to_matrix_reads_the_records_it_keeps():
@@ -102,13 +102,12 @@ def test_samples_to_matrix_reads_the_records_it_keeps():
         rec.features.partial_window = partial
         records.append(rec)
     # the wrapper path the records replaced: (features, ask move) pairs of the kept rows
-    rows, _ = cleanup_rows([r.outcome_time for r in records], [r.dp_ask_horizon for r in records], 1.0,
-                           [r.features.partial_window for r in records])
+    rows, _ = cleanup_rows([r.outcome_time for r in records], [r.dp_ask_horizon for r in records], 1.0)
     pairs = [(records[i].features, records[i].dp_ask_horizon) for i in rows]
     X_ref, y_ref = feature_matrix(f for f, _ in pairs), np.array([dp for _, dp in pairs], dtype=float)
     samples, _ = collect_cleanup_samples(records, horizon=1.0)
     X, y = samples_to_matrix(samples)
-    assert len(y) == 2
+    assert len(y) == 3  # a partial window is kept: the rule applies to the training rows upstream
     assert np.array_equal(X, X_ref) and np.array_equal(y, y_ref)
 
 
@@ -189,7 +188,6 @@ def test_constant_target_learned_to_tolerance():
         targets,
         TrainConfig(lr=0.05, batch=512, epochs=2000, seed=5, patience=10**6, val_fraction=0.1),
         columns=tuple(f"c{i}" for i in range(5)),
-        winsor_quantiles=None,
     )
     preds = model.mlp.predict(X)
     assert np.all(np.abs(preds - 2.0) <= 1e-3)
@@ -214,7 +212,7 @@ def test_regression_gradient_check():
 
 def test_winsorize_clips_extremes():
     targets = np.concatenate([np.zeros(998), [1e9, -1e9]])
-    clipped, bounds = winsorize(targets, (0.001, 0.999))
+    clipped, bounds = winsorize(targets)
     assert clipped.max() < 1e9 and clipped.min() > -1e9
     assert bounds[0] <= 0 <= bounds[1]
 

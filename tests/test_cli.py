@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from lobkit import io as lio
 from lobkit.cli import load_config, main, ConfigInvalid
 from lobkit.features import FEATURE_COLUMNS, FeatureVector
 from lobkit.messages import Side, read_messages, write_messages
@@ -191,7 +192,7 @@ def test_cleanup_and_backtest_reports_count_what_the_fits_dropped(pipeline):
     cleanup = json.loads((d / "cleanup_report.json").read_text())
     rows = cleanup["cleanup_rows"]
     assert rows["kept"] == cleanup["rows"] > 0
-    assert rows["read"] == rows["kept"] + rows["died_within_horizon"] + rows["unmeasurable"] + rows["partial_window"]
+    assert rows["read"] == rows["kept"] + rows["died_within_horizon"] + rows["unmeasurable"]
     assert rows["read"] == len((d / "matrix.csv").read_text().splitlines()) - 1
     metrics = json.loads((d / "metrics.json").read_text())
     assert len(metrics["toy_distances"]) >= 3 and metrics["toy_distances"] == sorted(metrics["toy_distances"])
@@ -204,6 +205,49 @@ def test_replay_diagnostics_report_every_counter(pipeline):
     expected = {f.name for f in dataclasses.fields(ReplayDiagnostics)} | {"records", "average_trade_size"}
     assert set(diag) == expected
     assert diag["average_trade_size"] == pytest.approx(diag["trade_volume"] / diag["trade_count"])
+
+
+def test_replay_diagnostics_reconcile_every_accepted_add(pipeline):
+    diag = json.loads((pipeline / "diag.json").read_text())
+    excluded = diag["marketable_excluded"] + diag["depth_excluded"] + diag["no_reference_skipped"]
+    assert diag["records"] > 0 and excluded > 0
+    assert diag["accepted_adds"] == diag["records"] + excluded
+
+
+def test_survival_counts_the_records_outside_every_bucket(pipeline, tmp_path, capsys):
+    d = pipeline
+    capsys.readouterr()
+    _run(BASE + [
+        "survival", "--lifecycles", str(d / "lifecycles.csv"), "--out", str(tmp_path / "curves.csv"),
+        "--by", "delta", "--edges", "0,1,2,3,6",
+    ])
+    report = json.loads(capsys.readouterr().out)
+    deltas = [r.features.delta for r in lio.read_lifecycles(d / "lifecycles.csv")]
+    outside = sum(not 0 <= delta < 6 for delta in deltas)
+    assert report["outside_edges"] == outside > 0
+    assert sum(report["buckets_kept"].values()) + sum(report["buckets_omitted"].values()) + outside == len(deltas)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [["6,3,0"], ["0,a,3"], ["3"], ["0,1,1,2"], ["0,nan,2"], ["0,1,2", "0,4"]],
+    ids=["decreasing", "not a number", "one edge", "repeated edge", "nan", "more --edges than --by"],
+)
+def test_bad_survival_edges_are_rejected_before_any_work(pipeline, tmp_path, capsys, edges):
+    err = _fails(BASE + _survival_by(pipeline, tmp_path, "delta") + [a for e in edges for a in ("--edges", e)], capsys)
+    assert err["error"] == "ConfigInvalid" and "--edges" in err["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "item",
+    ["batch=0", "epochs=0", "patience=-1", "val_fraction=1.5", "val_fraction=1", "val_fraction=-0.1",
+     "lr=0", "lr=-1e-3", "lr=inf", "lr=nan", "ipcw_floor=2", "ipcw_floor=1", "ipcw_floor=0"],
+)
+def test_out_of_range_training_and_ipcw_values_are_rejected_before_any_work(tmp_path, capsys, item):
+    err = _fails(["--set", item] + _synth(tmp_path), capsys)
+    assert err["error"] == "ConfigInvalid" and item.split("=")[0] in err["message"]
+    assert not (tmp_path / "m.csv").exists()
 
 
 @pytest.mark.parametrize("feature", FEATURE_COLUMNS)

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from lobkit.features import FeatureVector
 from lobkit.fill_model import (
-    DEFAULT_OMEGA_EDGES,
+    OMEGA_EDGES,
     CensoringModel,
     FillModel,
     build_training_matrix,
@@ -114,17 +116,17 @@ def test_stratum_of_matches_sorted_search_reference():
     deciles = [0.0, 1.0, 2.0, 2.0, 3.5, 7.0, 20.0]
     values = [-np.inf, -1.0, -0.0, 0.0, 1e-300, 0.5, 1.0, 2.0, 3.49, 3.5, 6.99, 7.0, 19.99, 20.0, 1e9, np.inf, np.nan]
     for delta_edges in (deciles, [0.0, float("inf")]):
-        model = CensoringModel(delta_edges=delta_edges, omega_edges=list(DEFAULT_OMEGA_EDGES))
+        model = CensoringModel(delta_edges=delta_edges)
         for delta in values:
             if delta == 0:
                 expected = "at_best"
             elif delta < 0:
-                expected = f"aggressive_{reference(model.omega_edges, 0.0)}"
+                expected = f"aggressive_{reference(OMEGA_EDGES, 0.0)}"
             else:
                 expected = f"passive_{reference(delta_edges, delta)}"
             assert model.stratum_of(delta, None) == expected, (delta_edges, delta)
         for omega in [None, *values, 1.0 / 3.0, 2.0 / 3.0, 1.0 + 1e-9]:
-            expected = f"aggressive_{reference(model.omega_edges, 0.0 if omega is None else omega)}"
+            expected = f"aggressive_{reference(OMEGA_EDGES, 0.0 if omega is None else omega)}"
             assert model.stratum_of(-1.0, omega) == expected, omega
 
 
@@ -133,13 +135,18 @@ def test_stratum_of_matches_sorted_search_reference():
 # ---------------------------------------------------------------------------
 
 
+def _pooled(records):
+    """A censoring model whose every stratum reads the one pooled curve."""
+    return stratified_censoring_survival(records, min_count=math.inf)
+
+
 def test_weights_all_one_without_censoring():
     records = [
         _record(0.2, Outcome.FILLED, oid="a"),
         _record(0.7, Outcome.FILLED, oid="b"),
         _record(1.8, Outcome.FILLED, oid="c"),  # survives the horizon
     ]
-    res = ipcw_weights(records, horizon=1.0)
+    res = ipcw_weights(records, 1.0, _pooled(records))
     np.testing.assert_allclose(res.weights, [1.0, 1.0, 1.0])
     np.testing.assert_allclose(res.labels, [1.0, 1.0, 0.0])
 
@@ -152,7 +159,7 @@ def test_survivor_weight_is_reciprocal_of_censoring_survival():
         _record(1.5, Outcome.FILLED, oid="c"),
         _record(1.5, Outcome.FILLED, oid="d"),
     ]
-    res = ipcw_weights(records, horizon=1.0)
+    res = ipcw_weights(records, 1.0, _pooled(records))
     curve = censoring_survival([Observation(r.outcome_time, int(r.outcome)) for r in records])
     assert curve.at(1.0) == pytest.approx(0.5)
     np.testing.assert_allclose(res.weights, [0.0, 0.0, 2.0, 2.0])
@@ -170,7 +177,7 @@ def test_six_record_equivalence_oracle():
         _record(2.00, Outcome.CANCELLED, oid="f"),
     ]
     horizon = 1.0
-    res = ipcw_weights(records, horizon)
+    res = ipcw_weights(records, horizon, _pooled(records))
     ipcw_fill = float(np.sum(res.weights * res.labels)) / len(records)
     obs = [Observation(r.outcome_time, int(r.outcome)) for r in records]
     km_fill = fill_probability_at(post_and_wait_fill(obs), horizon)
@@ -190,7 +197,7 @@ def test_random_instances_equivalence(seed):
         outcome = Outcome(int(rng.choice([0, 1, 2], p=[0.2, 0.4, 0.4])))
         records.append(_record(t, outcome, oid=f"r{i}"))
     horizon = 1.005  # never collides with the event grid
-    res = ipcw_weights(records, horizon)
+    res = ipcw_weights(records, horizon, _pooled(records))
     ipcw_fill = float(np.sum(res.weights * res.labels)) / n
     obs = [Observation(r.outcome_time, int(r.outcome)) for r in records]
     km_fill = fill_probability_at(post_and_wait_fill(obs), horizon)
@@ -201,7 +208,7 @@ def test_weight_floor_flagged():
     records = [
         _record(0.2, Outcome.CANCELLED, oid=f"c{i}") for i in range(99)
     ] + [_record(1.5, Outcome.FILLED, oid="s")]
-    res = ipcw_weights(records, horizon=1.0, floor=0.05)
+    res = ipcw_weights(records, 1.0, _pooled(records), floor=0.05)
     assert res.floored == 1
     assert res.weights[-1] == pytest.approx(1 / 0.05)
 
@@ -218,10 +225,7 @@ def _ipcw_reference(records, horizon, censoring, floor):
         else:
             weights.append(0.0)
             continue
-        if isinstance(censoring, CensoringModel):
-            g = censoring.survival_at(rec.features.delta, rec.features.aggressiveness, t_eval)
-        else:
-            g = float(censoring.at(t_eval))
+        g = censoring.survival_at(rec.features.delta, rec.features.aggressiveness, t_eval)
         if g < floor:
             g = floor
             floored += 1
@@ -233,7 +237,7 @@ def _ipcw_reference(records, horizon, censoring, floor):
 def test_ipcw_per_stratum_equals_per_record_reference(seed):
     """Weights and the floored count equal a per-record evaluation bit for bit:
     fitted strata, thin strata on the pooled curve, strata unseen when fitting,
-    and an unstratified curve."""
+    and the pooled curve in every stratum."""
     rng = np.random.default_rng(seed)
     records = []
     for i in range(int(rng.integers(1, 120))):
@@ -247,7 +251,7 @@ def test_ipcw_per_stratum_equals_per_record_reference(seed):
     fitted_on = records[: max(1, len(records) // 2)]  # the rest may fall in strata unseen when fitting
     models = [
         stratified_censoring_survival(fitted_on, min_count=int(rng.integers(1, 12))),
-        censoring_survival([Observation(r.outcome_time, int(r.outcome)) for r in fitted_on]),
+        _pooled(fitted_on),
     ]
     for censoring in models:
         res = ipcw_weights(records, horizon, censoring, floor=floor)
@@ -307,7 +311,6 @@ def test_build_training_matrix_drops_partial_windows():
         _record(0.4, Outcome.FILLED, oid="b"),
     ]
     records[1].features.partial_window = True
-    X, y, w, kept, _ = build_training_matrix(records, horizon=1.0)
+    X, y, w, kept, _ = build_training_matrix(records, 1.0, _pooled(records))
     assert len(kept) == 1 and kept[0].order_id == "a"
-    X2, *_ = build_training_matrix(records, horizon=1.0, drop_partial_windows=False)
-    assert X2.shape[0] == 2
+    assert X.shape[0] == len(y) == len(w) == 1

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from lobkit import io as lio
 from lobkit.features import FEATURE_COLUMNS, FeatureVector, feature_matrix
-from lobkit.fill_model import build_training_matrix
+from lobkit.fill_model import build_training_matrix, stratified_censoring_survival
 from lobkit.messages import InstrumentConfig, Level3Message, MessageKind, Side, read_messages, write_messages
 from lobkit.replay import OrderLifecycle, Outcome, track_lifecycles
 from lobkit.synth import GroundTruthConfig, RegimeSpec, TruthRow, generate_flow, read_truth, write_truth
@@ -73,7 +73,7 @@ def _matrix_round_trip(records, y, w, path: Path) -> None:
     np.testing.assert_array_equal(w2, w)
     assert meta == [
         dict(order_id=r.order_id, insert_ts=r.insert_ts, outcome=r.outcome, outcome_time=r.outcome_time,
-             dp_ask_horizon=r.dp_ask_horizon, partial_window=r.features.partial_window)
+             dp_ask_horizon=r.dp_ask_horizon)
         for r in records
     ]
     # the records the file describes: its feature values, meta and size; side and price are not in a matrix
@@ -81,7 +81,7 @@ def _matrix_round_trip(records, y, w, path: Path) -> None:
     rebuilt = []
     for m, row in zip(meta, X2.tolist()):
         values = dict(zip(FEATURE_COLUMNS, row))
-        vector = FeatureVector(**{n: values[n] for n in vector_fields}, partial_window=m["partial_window"])
+        vector = FeatureVector(**{n: values[n] for n in vector_fields})
         rebuilt.append(
             OrderLifecycle(m["order_id"], Side.BID, m["insert_ts"], 1, vector.size, vector, m["outcome"],
                            m["outcome_time"], dp_ask_horizon=m["dp_ask_horizon"])
@@ -95,8 +95,17 @@ def test_lifecycle_round_trip_preserves_fields(tmp_path):
 
 def test_matrix_round_trip_preserves_values(tmp_path):
     records = _records()
-    X, y, w, kept, _ = build_training_matrix(records, horizon=1.0, drop_partial_windows=False)
+    X, y, w, kept, _ = build_training_matrix(records, 1.0, stratified_censoring_survival(records))
     _matrix_round_trip(kept, y, w, tmp_path / "matrix.csv")
+
+
+def test_matrix_with_the_old_partial_window_column_is_rejected(tmp_path):
+    """Training rows are chosen once, before the matrix is written, so it carries no partial-window flag."""
+    path = tmp_path / "matrix.csv"
+    header = [*list(lio.MATRIX_FIELDS)[:7], "partial_window", *FEATURE_COLUMNS]
+    path.write_text(",".join(header) + "\n")
+    with pytest.raises(ArtifactInvalid, match="header column 8 is 'partial_window', expected 'delta'"):
+        lio.read_matrix(path)
 
 
 ROUND_TRIP = settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -216,7 +225,7 @@ READERS = {
     "lifecycles": (lio.read_lifecycles, "insert_ts_ns", {"int": "insert_ts_ns", "float": "outcome_time_s",
                    "enum": "side", "bool": "partial_window", "optional float": "dp_ask_horizon"}),
     "matrix": (lio.read_matrix, "delta", {"int": "insert_ts_ns", "float": "delta", "enum": "outcome",
-               "bool": "partial_window", "optional float": "dp_ask_horizon"}),
+               "optional float": "dp_ask_horizon"}),
 }
 BAD_CELLS = {"int": "1.5", "float": "b", "enum": "abc", "bool": "2", "optional float": "x"}
 CASES = [
@@ -235,7 +244,7 @@ def artifacts(tmp_path_factory):
     write_truth(d / "truth.csv", truth)
     records = track_lifecycles(msgs, InstrumentConfig(depth_value=40.0, trade_window=20)).records
     lio.write_lifecycles(d / "lifecycles.csv", records, horizon=1.0)
-    _, y, w, kept, _ = build_training_matrix(records, horizon=1.0, drop_partial_windows=False)
+    _, y, w, kept, _ = build_training_matrix(records, 1.0, stratified_censoring_survival(records))
     lio.write_matrix(d / "matrix.csv", kept, y, w)
     return d
 

@@ -123,6 +123,21 @@ def test_nonfinite_loss_detected():
         train_mlp(model, X, y * 1e200, w, TrainConfig(lr=1e150, batch=16, epochs=5, seed=20))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("batch", 0), ("epochs", 0), ("patience", -1), ("val_fraction", 1.0), ("val_fraction", -0.1),
+     ("lr", 0.0), ("lr", float("inf")), ("lr", float("nan"))],
+)
+def test_train_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_its_range_ends():
+    TrainConfig(lr=1e150, batch=1, epochs=1, patience=0, val_fraction=0.0)
+    TrainConfig(val_fraction=0.999)
+
+
 def test_save_load_round_trip():
     X, y, w = _toy_data(seed=21, n=100)
     model = MLP([6, 16, 1], seed=22)

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from lobkit.book import BookState, CrossedBook, UnknownOrderId
 from lobkit.messages import InstrumentConfig, Level3Message, MessageKind, Side
 from lobkit.replay import EmptyStream, Outcome, fill_ratio_icdf, track_lifecycles
 
@@ -165,6 +168,59 @@ def test_lifecycle_partition_every_add_one_outcome():
     assert outcomes["x3"] is Outcome.CENSORED
     assert all(r.outcome is not None for r in result.records)
     assert all(r.outcome_time > 0 for r in result.records)
+
+
+REPLAY_OPS = st.lists(
+    st.tuples(
+        st.one_of(
+            # every add takes a fresh id; cancels and executes name one that may be gone or never added
+            # ticks away from the 1000/1001 touch (-1 may cross) and size (0 is invalid)
+            st.tuples(st.just(A), st.sampled_from(Side), st.integers(-1, 3), st.integers(0, 3)),
+            st.tuples(st.just(C), st.integers(0, 15)),
+            st.tuples(st.just(E), st.integers(0, 15), st.integers(1, 4)),
+        ),
+        st.integers(0, 2),  # time step in tenths of a second: equal stamps make marketable remainders
+        st.booleans(),  # skip a sequence number
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(ops=REPLAY_OPS, depth=st.sampled_from([5.0, 500.0]), walls=st.booleans())
+# a bid filled whole, an ask added at the fill's timestamp (a marketable remainder), a bid beyond the depth
+@example(
+    ops=[((A, B, 0, 2), 1, False), ((E, 0, 2), 1, False), ((A, S, 0, 1), 0, False), ((A, B, 3, 1), 0, False)],
+    depth=5.0,
+    walls=True,
+)
+def test_every_accepted_add_is_a_record_or_a_counted_exclusion(ops, depth, walls):
+    msgs, live, ts = (_walls() if walls else []), {}, 0.0
+    for (kind, *rest), step, skip in ops:
+        seq = (msgs[-1].seq if msgs else 0) + (2 if skip else 1)
+        ts += step / 10
+        if kind is A:
+            side, away, size = rest
+            price = 1000 - away if side is B else 1001 + away
+            oid = f"o{len(live)}"
+            live[oid] = (side, price)
+            msgs.append(_msg(seq, A, oid, side, price, size=size, ts=ts))
+        else:
+            oid = f"o{rest[0]}"
+            side, price = live.get(oid, (B, 1000))
+            msgs.append(_msg(seq, kind, oid, side, price, exec_size=rest[1] if len(rest) > 1 else 0.0, ts=ts))
+    result = track_lifecycles(msgs, _inst(depth_value=depth))
+    d = result.diagnostics
+    reference, accepted = BookState(), 0
+    for m in msgs:
+        try:
+            reference.apply(m, allow_gap=True)
+        except (CrossedBook, UnknownOrderId, ValueError):
+            continue
+        accepted += m.kind is A
+    assert d.accepted_adds == accepted
+    assert d.accepted_adds == len(result.records) + d.marketable_excluded + d.depth_excluded + d.no_reference_skipped
 
 
 def test_empty_stream_raises():

@@ -464,3 +464,14 @@ def test_conditional_underpopulated_buckets_reported():
     curves, report = conditional_curves(records, [("delta", [0.0, 3.0, 10.0])], min_count=3)
     assert (0,) in curves
     assert report.omitted == {(1,): 2}
+    assert report.outside == 0
+
+
+def test_conditional_counts_records_outside_every_bucket():
+    """Below the first edge, at or above the last, or outside either edge list of a 2-D grid."""
+    records = [_record(d, 1, 1.0) for d in (-1.0, 0.0, 2.0, 3.0, 9.99, 10.0, 12.0)]
+    curves, report = conditional_curves(records, [("delta", [0.0, 3.0, 10.0])], min_count=1)
+    assert report.kept == {(0,): 2, (1,): 2} and report.omitted == {}
+    assert report.outside == 3
+    _, grid = conditional_curves(records, [("delta", [0.0, 3.0, 10.0]), ("spread", [0.0, 1.0])], min_count=1)
+    assert grid.outside == len(records)  # every spread lies above the last spread edge

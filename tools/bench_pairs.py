@@ -16,9 +16,12 @@ tenths of the pairs and medians further apart than the base's interquartile
 range) and whether the change stays inside the metric's bound: ``ok``,
 ``WORSE``, or ``unresolved`` when the base's interquartile range is wider than
 the bound and not every change run beats every base run, so the runs are too
-spread to tell whether the bound holds.  It also says
-whether every run wrote the same artifact digests and how many operations
-failed.
+spread to tell whether the bound holds.  It also says, for each side, whether
+its own runs wrote the same artifact digests, names every artifact whose
+digest differs between the base and the change, and counts the failed
+operations.  It exits 1 when a side's runs disagree with each other or the
+change fails an operation; artifacts that differ between the sides alone do
+not fail it, since a change may alter an artifact on purpose.
 
 The change is recorded as the commit the working tree sits on, whether the
 tree differs from it under ``src/`` or ``benchmarks/``, and the sha256 of
@@ -140,10 +143,32 @@ def summarize(pairs: list[dict], spec: dict) -> dict:
     return out
 
 
+def artifact_agreement(pairs: list[dict]) -> dict:
+    """Whether each side's runs wrote the same digests, and the artifacts whose digests differ between the sides."""
+
+    def digests(side: str) -> dict[str, set]:
+        """Each artifact's digests over the side's runs; a run that lacks it adds ``None``."""
+        names = {name for p in pairs for name in p[side]["artifacts"]}
+        return {name: {p[side]["artifacts"].get(name) for p in pairs} for name in names}
+
+    base, change = digests("base"), digests("change")
+    return {
+        "runs_agree": {"base": all(len(d) == 1 for d in base.values()), "change": all(len(d) == 1 for d in change.values())},
+        "artifacts_differ": sorted(name for name in base.keys() | change.keys() if base.get(name) != change.get(name)),
+    }
+
+
+def passed(entry: dict) -> bool:
+    """Each side's runs agree with each other and the change failed no operation."""
+    return all(entry["runs_agree"].values()) and not entry["failed"]["change"]
+
+
 def report(entry: dict) -> None:
     print(f"\n{entry['workload']} seed {entry['seed']}, {entry['pairs']} pairs of {entry['seconds']} s runs")
-    print(f"  artifacts equal on every run: {entry['artifacts_equal']}; failed operations "
-          f"base {entry['failed']['base']}/{entry['attempted']['base']}, "
+    agree = entry["runs_agree"]
+    print(f"  artifacts: base runs agree {agree['base']}, change runs agree {agree['change']}; "
+          f"differ between base and change: {', '.join(entry['artifacts_differ']) or 'none'}")
+    print(f"  failed operations base {entry['failed']['base']}/{entry['attempted']['base']}, "
           f"change {entry['failed']['change']}/{entry['attempted']['change']}")
     print(f"  {'metric':24}{'base median [q1-q3]':34}{'change median [q1-q3]':34} ratio  wins  gain  bound")
     for name, s in entry["summary"].items():
@@ -180,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
                 "pairs": args.pairs,
                 "base": base_commit,
                 "change": change,
-                "artifacts_equal": len({json.dumps(p[s]["artifacts"], sort_keys=True) for p in pairs for s in p}) == 1,
+                **artifact_agreement(pairs),
                 "failed": {s: sum(p[s]["failed"] for p in pairs) for s in ("base", "change")},
                 "attempted": {s: sum(p[s]["attempted"] for p in pairs) for s in ("base", "change")},
                 "summary": summarize(pairs, spec),
@@ -194,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
         old = json.loads(path.read_text())["results"] if path.exists() else []
         path.write_text(json.dumps({"results": old + entries}, indent=2) + "\n")
         print(f"wrote {path}")
-    return 0 if all(e["artifacts_equal"] and not e["failed"]["change"] for e in entries) else 1
+    return 0 if all(map(passed, entries)) else 1
 
 
 if __name__ == "__main__":
