@@ -24,6 +24,7 @@ from .placement import (
     _COLUMN,
     FeePolicy,
     ToyModel,
+    _check_cleanup_costs,
     _check_fill_probabilities,
     _check_quotes,
     _unchecked_saved_cost,
@@ -195,9 +196,9 @@ class ActionMetrics:
     precision: float
     recall: float
     f_score: float
-    true_positive: int
-    false_positive: int
-    false_negative: int
+    tp: int  # true positives
+    fp: int  # false positives
+    fn: int  # false negatives
 
 
 @dataclass
@@ -266,7 +267,8 @@ def record_saved_costs(
     Each model component scores all records in one call; each spec's costs are
     one array expression of the scalar ``saved_cost``'s arithmetic, so every
     value is ``==`` to its call on the same prediction.  A fill probability
-    outside [0, 1] raises ``ValueError``.
+    outside [0, 1] or a clean-up cost that is not finite raises ``ValueError``,
+    as in ``optimal_distance``.
     """
     X = feature_matrix(rec.features for rec in records)
     fills = {kind: models.fill_probabilities(kind, X) for kind in dict.fromkeys(spec.fill for spec in specs)}
@@ -274,6 +276,8 @@ def record_saved_costs(
     best_bid, best_ask, delta = _record_quotes(records, X, tick_size)
     for f in fills.values():
         _check_fill_probabilities(f)
+    for v in cleanups.values():
+        _check_cleanup_costs(v)
     return {
         spec.id: _unchecked_saved_cost(best_bid, best_ask, tick_size, delta, fees, fills[spec.fill], cleanups[spec.cleanup])
         for spec in specs

@@ -16,6 +16,7 @@ from .features import FEATURE_COLUMNS, feature_matrix
 from .fill_model import HIDDEN_LAYERS, NetModel
 from .mlp import MLP, TrainConfig, train_mlp
 from .replay import OrderLifecycle
+from .table import finite_number
 
 
 @dataclass
@@ -111,8 +112,12 @@ class CleanupModel(NetModel):
     kind = "cleanup"
     winsor_bounds: tuple[float, float] | None = None
 
-    def envelope(self) -> dict:
-        return {**super().envelope(), "winsor_bounds": list(self.winsor_bounds) if self.winsor_bounds else None}
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        bounds = self.winsor_bounds
+        numbers = isinstance(bounds, tuple) and len(bounds) == 2 and all(map(finite_number, bounds))
+        if bounds is not None and not (numbers and bounds[0] <= bounds[1]):
+            raise ValueError(f"field 'winsor_bounds' is {bounds!r}, not null or two finite numbers, low to high")
 
 
 #: The target quantiles the clean-up regressor clips its training targets to.

@@ -369,17 +369,17 @@ def cmd_train_cleanup(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def _load_models(args) -> tuple:
+def _load_models(args, cfg: PipelineConfig) -> tuple:
     """The ``--fill-model`` and ``--cleanup-model`` files, each checked
-    against the kind its option takes and against the feature columns."""
+    against the feature columns and the configured horizon."""
     models = []
-    for slot, kind in (("fill", FillModel.kind), ("cleanup", CleanupModel.kind)):
-        path = getattr(args, f"{slot}_model")
-        model = lio.load_model(_require(path, f"{slot} model"))
-        if model.kind != kind:
-            raise ArtifactInvalid(f"{path}: field 'kind' is {model.kind!r}, but --{slot}-model takes {kind}")
+    for model_type in (FillModel, CleanupModel):
+        path = getattr(args, f"{model_type.kind}_model")
+        model = model_type.load(_require(path, f"{model_type.kind} model"))
         if model.columns != FEATURE_COLUMNS:
             raise ArtifactInvalid(f"{path}: field 'columns' is {list(model.columns)}, not {list(FEATURE_COLUMNS)}")
+        if model.horizon != cfg.horizon:
+            raise ArtifactInvalid(f"{path}: field 'horizon' is {model.horizon!r}, but the configured horizon is {cfg.horizon}")
         models.append(model)
     return tuple(models)
 
@@ -390,7 +390,7 @@ DECISION_MAP_CLEANUP_TICKS = 200.0
 
 def cmd_route(args, cfg: PipelineConfig) -> int:
     snapshot = lio.read_snapshot(_require(args.snapshot, "snapshot"))
-    fill, cleanup = _load_models(args)
+    fill, cleanup = _load_models(args, cfg)
     default_lo, default_hi = default_delta_range(snapshot, cfg.depth_mode, cfg.depth_value)
     delta_range = (
         default_lo if args.delta_min is None else args.delta_min,
@@ -421,7 +421,7 @@ def cmd_route(args, cfg: PipelineConfig) -> int:
 def cmd_backtest(args, cfg: PipelineConfig) -> int:
     records = _load_records(args, cfg)
     X, _, _, meta = lio.read_matrix(_require(args.train_matrix, "training matrix"))
-    fill, cleanup = _load_models(args)
+    fill, cleanup = _load_models(args, cfg)
     models, fit = fit_router_models(*matrix_columns(X, meta), fill, cleanup, cfg.horizon)
 
     # eligibility needs the stream's average trade size
@@ -450,17 +450,7 @@ def cmd_backtest(args, cfg: PipelineConfig) -> int:
         "toy_thin_buckets": fit.thin_buckets,
         "constant_cleanup_ticks": models.constant_cleanup,
         "metrics": {
-            mid: {
-                action: {
-                    "precision": m.precision,
-                    "recall": m.recall,
-                    "f_score": m.f_score,
-                    "tp": m.true_positive,
-                    "fp": m.false_positive,
-                    "fn": m.false_negative,
-                }
-                for action, m in actions.items()
-            }
+            mid: {action: dataclasses.asdict(m) for action, m in actions.items()}
             for mid, actions in report.per_model.items()
         },
     }

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from numbers import Integral
 from pathlib import Path
 from typing import ClassVar, Sequence
 
@@ -29,6 +30,7 @@ from .survival import (
     kaplan_meier,
     quantile_edges,
 )
+from .table import ArtifactInvalid, finite_number, json_object
 
 __all__ = [
     "censoring_survival",
@@ -188,7 +190,7 @@ def build_training_matrix(
 
 
 # ---------------------------------------------------------------------------
-# Model wrappers and their file envelope
+# Model wrappers and their files
 # ---------------------------------------------------------------------------
 
 HIDDEN_LAYERS = (32, 32, 32)
@@ -196,7 +198,9 @@ HIDDEN_LAYERS = (32, 32, 32)
 
 @dataclass
 class NetModel:
-    """One network over the feature columns, saved as a model-file envelope."""
+    """One network over the feature columns, saved as a model file: a JSON
+    object of its ``kind``, the network under ``mlp`` and every other field
+    but ``report``."""
 
     kind: ClassVar[str]
     mlp: MLP
@@ -205,22 +209,56 @@ class NetModel:
     trained_span: tuple[int, int] | None = None  # (first_ts, last_ts) of training rows
     report: TrainingReport | None = None
 
+    def __post_init__(self) -> None:
+        inputs = self.mlp.layer_sizes[0]
+        if not isinstance(self.columns, tuple) or len(self.columns) != inputs:
+            raise ValueError(f"field 'columns' is {self.columns!r}, not {inputs} names, one per network input")
+        if not (finite_number(self.horizon) and self.horizon > 0):
+            raise ValueError(f"field 'horizon' is {self.horizon!r}, not a positive finite number")
+        span = self.trained_span
+        integers = isinstance(span, tuple) and all(isinstance(t, Integral) and not isinstance(t, bool) for t in span)
+        if span is not None and not (integers and len(span) == 2):
+            raise ValueError(f"field 'trained_span' is {span!r}, not null or two integers")
+
     def predict(self, X: np.ndarray) -> np.ndarray:
         """One output per row of the (n, len(columns)) matrix ``X``."""
         return self.mlp.predict(X)
 
+    @classmethod
+    def file_fields(cls) -> list[str]:
+        """The fields a model file holds beside ``kind`` and ``mlp``."""
+        return [f.name for f in fields(cls) if f.name not in ("mlp", "report")]
+
     def envelope(self) -> dict:
-        """The model file's fields; ``io.load_model`` reads them back."""
-        return {
-            "kind": self.kind,
-            "columns": list(self.columns),
-            "horizon": self.horizon,
-            "trained_span": list(self.trained_span) if self.trained_span else None,
-            "mlp": self.mlp.to_dict(),
-        }
+        """The model file's JSON object."""
+        return {"kind": self.kind, "mlp": self.mlp.to_dict(), **{name: getattr(self, name) for name in self.file_fields()}}
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.envelope(), sort_keys=True))
+
+    @classmethod
+    def load(cls, path: str | Path):
+        """The model ``save`` wrote to ``path``.  A file of another kind, or one
+        missing a field or holding one the model rejects, raises
+        ``ArtifactInvalid`` naming the file and the field."""
+        path = Path(path)
+        blob = json_object(path, "model file")
+        if blob.get("kind") != cls.kind:
+            raise ArtifactInvalid(f"{path}: field 'kind' is {blob.get('kind')!r}, not {cls.kind!r}")
+        names = cls.file_fields()
+        for name in ["mlp", *names]:
+            if name not in blob:
+                raise ArtifactInvalid(f"{path}: required field {name!r} is missing")
+        try:
+            mlp = MLP.from_dict(blob["mlp"])
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise ArtifactInvalid(f"{path}: field 'mlp' is not a network ({exc!r})") from exc
+        # JSON arrays back into the tuples the fields hold
+        values = {name: tuple(blob[name]) if isinstance(blob[name], list) else blob[name] for name in names}
+        try:
+            return cls(mlp=mlp, **values)
+        except ValueError as exc:
+            raise ArtifactInvalid(f"{path}: {exc}") from exc
 
 
 class FillModel(NetModel):

@@ -1,27 +1,24 @@
 """Artifacts exchanged between the pipeline stages: the lifecycle and
 feature-matrix tables (schemas and row functions over :mod:`lobkit.table`),
-survival curve tables, route snapshots and model files.
+survival curve tables and route snapshots.  Model files are read and
+written by the models themselves (``FillModel.load``, ``CleanupModel.load``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .cleanup import CleanupModel
 from .features import FEATURE_COLUMNS, FeatureVector, feature_matrix
-from .fill_model import FillModel
 from .messages import SIDE
-from .mlp import MLP
 from .placement import MarketSnapshot
 from .replay import OrderLifecycle, Outcome
 from .survival import CAUSE_CANCELLATION, CAUSE_EXECUTION, CIFCurve, SurvivalCurve, gray_variance, log_log_ci
-from .table import FLAG, INTEGER, NUMBER, TEXT, ArtifactInvalid, choice, optional_number, read_table, write_table
+from .table import FLAG, INTEGER, NUMBER, TEXT, ArtifactInvalid, choice, finite_number, json_object, optional_number, read_table, write_table
 
 
 #: Lifecycle columns that fill a ``FeatureVector``, in field order; the
@@ -143,30 +140,19 @@ def write_cif_curves(path: str | Path, curves: dict[tuple, CIFCurve], by_names: 
 
 
 # ---------------------------------------------------------------------------
-# JSON artifacts: route snapshots and model files
+# Route snapshots
 # ---------------------------------------------------------------------------
-
-
-def _json_object(path: Path, what: str) -> dict:
-    try:
-        blob = json.loads(path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ArtifactInvalid(f"{path}: not a JSON {what} ({exc})") from exc
-    if not isinstance(blob, dict):
-        raise ArtifactInvalid(f"{path}: not a JSON {what} (top level is not an object)")
-    return blob
 
 
 def read_snapshot(path: str | Path) -> MarketSnapshot:
     """Read a ``route --snapshot`` file.
 
     Its fields are ``best_bid``, ``best_ask`` and ``tick_size`` in quote
-    units, and ``features``: null, or an object with a number for each
-    feature column of ``lifecycles.csv`` (``aggressiveness`` may be null) and
-    an optional boolean ``partial_window``.
+    units, and ``features``: null, or an object with a finite number for each
+    feature column of ``lifecycles.csv`` (``aggressiveness`` may be null).
     """
     path = Path(path)
-    blob = _json_object(path, "snapshot")
+    blob = json_object(path, "snapshot")
 
     def number(obj: dict, name: str, label: str) -> float | None:
         if name not in obj:
@@ -174,8 +160,8 @@ def read_snapshot(path: str | Path) -> MarketSnapshot:
         value = obj[name]
         if value is None and name == "aggressiveness":
             return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ArtifactInvalid(f"{path}: field {label!r} is {value!r}, not a number")
+        if not finite_number(value):
+            raise ArtifactInvalid(f"{path}: field {label!r} is {value!r}, not a finite number")
         return float(value)
 
     quote = {name: number(blob, name, name) for name in ("best_bid", "best_ask", "tick_size")}
@@ -184,47 +170,11 @@ def read_snapshot(path: str | Path) -> MarketSnapshot:
     if feats is not None:
         if not isinstance(feats, dict):
             raise ArtifactInvalid(f"{path}: field 'features' is {feats!r}, not an object")
-        unknown = sorted(set(feats) - {*_VECTOR_COLUMNS, "partial_window"})
+        unknown = sorted(set(feats) - set(_VECTOR_COLUMNS))
         if unknown:
             raise ArtifactInvalid(f"{path}: field 'features.{unknown[0]}' is not a feature column")
-        partial = feats.get("partial_window", False)
-        if not isinstance(partial, bool):
-            raise ArtifactInvalid(f"{path}: field 'features.partial_window' is {partial!r}, not a boolean")
-        values = [number(feats, name, f"features.{name}") for name in _VECTOR_COLUMNS]
-        features = FeatureVector(*values, partial_window=partial)
+        features = FeatureVector(*(number(feats, name, f"features.{name}") for name in _VECTOR_COLUMNS))
     try:
         return MarketSnapshot(**quote, features=features)
     except ValueError as exc:
         raise ArtifactInvalid(f"{path}: {exc}") from exc
-
-
-def load_model(path: str | Path) -> FillModel | CleanupModel:
-    """Read a model file written by ``save``, dispatching on its ``kind``.
-
-    Every model file is one JSON envelope: ``kind`` (``fill`` or
-    ``cleanup``), ``columns``, ``horizon``, ``trained_span`` and the network
-    under ``mlp``; a ``cleanup`` file adds ``winsor_bounds``.
-    """
-    path = Path(path)
-    blob = _json_object(path, "model file")
-
-    def field(name: str):
-        if name not in blob:
-            raise ArtifactInvalid(f"{path}: required field {name!r} is missing")
-        return blob[name]
-
-    def net() -> MLP:
-        try:
-            return MLP.from_dict(field("mlp"))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ArtifactInvalid(f"{path}: field 'mlp' is not a network ({exc!r})") from exc
-
-    kind = field("kind")
-    span = field("trained_span")
-    common = dict(columns=tuple(field("columns")), horizon=field("horizon"), trained_span=tuple(span) if span else None)
-    if kind == FillModel.kind:
-        return FillModel(mlp=net(), **common)
-    if kind == CleanupModel.kind:
-        bounds = field("winsor_bounds")
-        return CleanupModel(mlp=net(), winsor_bounds=tuple(bounds) if bounds else None, **common)
-    raise ArtifactInvalid(f"{path}: field 'kind' is {kind!r}, not {FillModel.kind} or {CleanupModel.kind}")

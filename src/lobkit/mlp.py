@@ -152,12 +152,26 @@ class MLP:
 
     @classmethod
     def from_dict(cls, blob: dict) -> "MLP":
+        """The network ``to_dict`` wrote; its shapes must chain from the input
+        width to the one output, every array be finite and ``std`` positive."""
         if blob.get("format") != "lobkit-mlp-v1":
             raise ValueError(f"unsupported model format {blob.get('format')!r}")
-        model = cls(blob["layer_sizes"], output=blob["output"])
-        model.weights = [np.asarray(W, dtype=float) for W in blob["weights"]]
-        model.biases = [np.asarray(b, dtype=float) for b in blob["biases"]]
-        model.set_standardization(np.asarray(blob["mean"]), np.asarray(blob["std"]))
+        sizes = list(blob["layer_sizes"])
+        weights = [np.asarray(W, dtype=float) for W in blob["weights"]]
+        biases = [np.asarray(b, dtype=float) for b in blob["biases"]]
+        mean, std = np.asarray(blob["mean"], dtype=float), np.asarray(blob["std"], dtype=float)
+        # checked before the constructor draws weights of the sizes the file claims
+        if ([W.shape for W in weights], [b.shape for b in biases], mean.shape, std.shape) != (
+            [*zip(sizes, sizes[1:])], [(n,) for n in sizes[1:]], tuple(sizes[:1]), tuple(sizes[:1])
+        ):
+            raise ValueError(f"weight, bias and standardization shapes do not chain the layer sizes {sizes}")
+        if not all(np.isfinite(a).all() for a in (*weights, *biases, mean, std)):
+            raise ValueError("a weight, bias, mean or std is not finite")
+        if not (std > 0).all():
+            raise ValueError(f"std must be positive, got {std.min()}")
+        model = cls(sizes, output=blob["output"])
+        model.weights, model.biases = weights, biases
+        model.set_standardization(mean, std)
         return model
 
 

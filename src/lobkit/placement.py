@@ -87,6 +87,8 @@ class MarketSnapshot:
     features: FeatureVector | None = None
 
     def __post_init__(self) -> None:
+        if not self.tick_size > 0:
+            raise ValueError(f"tick_size must be positive, got {self.tick_size}")
         spread = (self.best_ask - self.best_bid) / self.tick_size
         if abs(spread - round(spread)) > WHOLE_TICK_TOLERANCE or round(spread) < 1:
             raise ValueError(f"spread must be a positive whole number of ticks, got {spread}")
@@ -186,6 +188,13 @@ def _check_fill_probabilities(f: np.ndarray) -> None:
         raise ValueError(f"fill probability must be in [0, 1], got {f[~in_unit][0]}")
 
 
+def _check_cleanup_costs(v: np.ndarray) -> None:
+    """Raise ``ValueError`` on the first clean-up cost that is not finite."""
+    finite = np.isfinite(v)
+    if not finite.all():
+        raise ValueError(f"clean-up cost must be finite, got {v[~finite][0]}")
+
+
 def saved_cost(
     snapshot: MarketSnapshot,
     delta: int,
@@ -283,9 +292,7 @@ def optimal_distance(
     f = np.asarray(fill_model.predict(X), dtype=float)
     v = np.asarray(cleanup_model.predict(X), dtype=float)
     _check_fill_probabilities(f)
-    finite = np.isfinite(v)
-    if not finite.all():
-        raise ValueError(f"clean-up cost must be finite, got {v[~finite][0]}")
+    _check_cleanup_costs(v)
     s = _unchecked_saved_cost(snapshot.best_bid, snapshot.best_ask, snapshot.tick_size, deltas, fees, f, v)
     curve = SweepCurve(deltas, f, v, s)
     best = len(s) - 1 - int(np.argmax(s[::-1]))  # the last maximum: ties go to the largest delta

@@ -1,18 +1,23 @@
-"""CSV tables: one column schema per artifact, one reader and one writer.
+"""CSV tables: one column schema per artifact, one reader and one writer;
+and the top-level object and number rule of the JSON artifacts.
 
 A schema maps each column name, in header order, to its :class:`Kind`.
 Floats are written as ``repr`` of the Python float, as ``csv.writer``
 writes a float, so identical runs give byte-identical files and values
 round-trip exactly; ``None`` is an empty cell, booleans are ``0``/``1``.  A
-file that does not fit its schema raises :class:`ArtifactInvalid` naming
-``path:line``, the column and the value.
+number cell must be finite.  A file that does not fit its schema raises
+:class:`ArtifactInvalid` naming ``path:line``, the column and the value.
 """
 
 from __future__ import annotations
 
 import csv
+import json
+import math
+import sys
 from dataclasses import dataclass
 from itertools import zip_longest
+from numbers import Real
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
@@ -20,6 +25,22 @@ from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequenc
 
 class ArtifactInvalid(ValueError):
     """An artifact that does not parse, lacks a field or holds a wrong one."""
+
+
+def json_object(path: Path, what: str) -> dict:
+    """The top-level object of the JSON file ``path``, a ``what`` (for the error)."""
+    try:
+        blob = json.loads(path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ArtifactInvalid(f"{path}: not a JSON {what} ({exc})") from exc
+    if not isinstance(blob, dict):
+        raise ArtifactInvalid(f"{path}: not a JSON {what} (top level is not an object)")
+    return blob
+
+
+def finite_number(x) -> bool:
+    """Whether ``x`` is a real number, not a bool, inside the float range (no nan, no infinity, no int too large)."""
+    return isinstance(x, Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,16 +62,24 @@ def _cell(x) -> str:
     return str(x)
 
 
+def _finite(cell: str, _float=float, _isfinite=math.isfinite) -> float:
+    """The float a cell spells; ``nan``, ``inf`` and an overflow such as ``1e999`` raise ``ValueError``."""
+    x = _float(cell)
+    if _isfinite(x):
+        return x
+    raise ValueError(cell)
+
+
 TEXT = Kind(str, str, "text")
 INTEGER = Kind(int, int, "an integer")
-NUMBER = Kind(float, float, "a number")  # an int is written 3.0, numpy's float as a Python float
+NUMBER = Kind(_finite, float, "a finite number")  # an int is written 3.0, numpy's float as a Python float
 FLAG = Kind({"0": False, "1": True}.__getitem__, int, "0 or 1")
 
 
 def optional_number(empty: float | None = None) -> Kind:
-    """A float whose empty cell reads as ``empty``; ``None`` is written empty."""
+    """A finite float whose empty cell reads as ``empty``; ``None`` is written empty."""
     return Kind(
-        lambda cell: float(cell) if cell else empty, lambda x: "" if x is None else float(x), "a number or empty"
+        lambda cell: _finite(cell) if cell else empty, lambda x: "" if x is None else float(x), "a finite number or empty"
     )
 
 

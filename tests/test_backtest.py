@@ -165,7 +165,7 @@ def test_metrics_counts_equal_three_mask_reference(pairs):
     truth = np.array([t for _, t in pairs], dtype=int)
     for positive in (1, 0):
         m = _metrics(pred, truth, positive)
-        got = (m.precision, m.recall, m.f_score, m.true_positive, m.false_positive, m.false_negative)
+        got = (m.precision, m.recall, m.f_score, m.tp, m.fp, m.fn)
         assert got == _three_mask_metrics(pred, truth, positive)
         assert all(type(count) is int for count in got[3:])
 
@@ -266,6 +266,17 @@ def test_tie_labels_excluded_and_counted():
     report = run_backtest(records, [MODEL_III], _oracle_models(labels), FEE_TABLE[9], 1.0, 0.01)
     assert report.excluded_ties == 1
     assert report.evaluated == len(records) - 1
+
+
+@pytest.mark.parametrize("cost", [math.inf, -math.inf, math.nan])
+def test_non_finite_cleanup_cost_raises_as_in_optimal_distance(cost):
+    """Model III's clean-up model predicting a non-finite cost for one record
+    fails the backtest, as ``optimal_distance`` fails a route."""
+    records = _mixed_records()
+    models = _oracle_models({r.order_id: label_outcome(r, 1.0) for r in records})
+    models.cleanup.values[2] = cost
+    with pytest.raises(ValueError, match=f"clean-up cost must be finite, got {cost}"):
+        run_backtest(records, [MODEL_III], models, FEE_TABLE[9], 1.0, 0.01)
 
 
 def test_decisions_invariant_to_price_rescaling_with_zero_fees():

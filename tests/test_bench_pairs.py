@@ -19,7 +19,8 @@ def _verdict(base, change, capsys):
     summary = bench_pairs.summarize(_pairs(base, change), SPEC)
     capsys.readouterr()
     bench_pairs.report({
-        "workload": "w", "seed": 1, "seconds": 1, "pairs": len(base), "runs_agree": {"base": True, "change": True},
+        "workload": "w", "seed": 1, "seconds": 1, "pairs": len(base), "src_lines": {"base": 10, "change": 9},
+        "runs_agree": {"base": True, "change": True},
         "artifacts_differ": [], "failed": {"base": 0, "change": 0}, "attempted": {"base": 1, "change": 1},
         "summary": summary,
     })
@@ -57,7 +58,7 @@ def _artifact_pairs(base_runs, change_runs):
 
 def _entry(agreement, failed_change=0):
     return {
-        "workload": "w", "seed": 1, "seconds": 0, "pairs": 3, **agreement,
+        "workload": "w", "seed": 1, "seconds": 0, "pairs": 3, "src_lines": {"base": 10, "change": 9}, **agreement,
         "failed": {"base": 0, "change": failed_change}, "attempted": {"base": 3, "change": 3}, "summary": {},
     }
 
@@ -102,3 +103,15 @@ def test_an_artifact_missing_from_one_run_is_a_disagreement():
 def test_failed_operations_of_the_change_fail():
     agreement = bench_pairs.artifact_agreement(_artifact_pairs([BASE_RUN] * 3, [BASE_RUN] * 3))
     assert not bench_pairs.passed(_entry(agreement, failed_change=1))
+
+
+def test_src_lines_is_the_wc_l_total_of_the_modules(tmp_path, capsys):
+    package = tmp_path / "src" / "lobkit"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3")  # no final newline: wc -l counts none
+    (package / "notes.txt").write_text("not a module\n")
+    (tmp_path / "src" / "other.py").write_text("outside\n")
+    assert bench_pairs.src_lines(tmp_path) == 2
+    bench_pairs.report({**_entry(bench_pairs.artifact_agreement([])), "src_lines": {"base": 4445, "change": 4414}})
+    assert "src/lobkit/*.py: base 4445 lines, change 4414 (-31)" in capsys.readouterr().out

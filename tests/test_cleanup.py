@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,10 @@ from lobkit.cleanup import (
     winsorize,
 )
 from lobkit.features import FeatureVector, feature_matrix
-from lobkit.io import load_model
 from lobkit.messages import Side
 from lobkit.mlp import MLP, TrainConfig, gradient_check
 from lobkit.replay import OrderLifecycle, Outcome
+from lobkit.table import ArtifactInvalid
 
 
 def _fv(vol=1.0):
@@ -226,10 +228,20 @@ def test_cleanup_save_load_round_trip(tmp_path):
     )
     path = tmp_path / "cleanup.json"
     model.save(path)
-    clone = load_model(path)
+    clone = CleanupModel.load(path)
     assert isinstance(clone, CleanupModel)
     np.testing.assert_array_equal(model.mlp.predict(X), clone.mlp.predict(X))
     assert clone.winsor_bounds == model.winsor_bounds
+
+
+@pytest.mark.parametrize("bounds", [[2.0, 1.0], [0.0, float("inf")], [0.0], ["a", "b"], True])
+def test_cleanup_model_load_rejects_bad_winsor_bounds(tmp_path, bounds):
+    model = CleanupModel(MLP([4, 3, 1], output="identity", seed=1), columns=("a", "b", "c", "d"), winsor_bounds=(0.0, 1.0))
+    path = tmp_path / "cleanup.json"
+    path.write_text(json.dumps({**model.envelope(), "winsor_bounds": bounds}))
+    with pytest.raises(ArtifactInvalid) as err:
+        CleanupModel.load(path)
+    assert str(err.value).startswith(f"{path}: field 'winsor_bounds' is ")
 
 
 def test_predict_cleanup_deterministic_and_finite():

@@ -128,7 +128,7 @@ def pipeline(tmp_path_factory):
         "best_bid": 500.00,
         "best_ask": 500.04,
         "tick_size": 0.01,
-        "features": {k: getattr(fv, k) for k in fv.__dataclass_fields__},
+        "features": {k: getattr(fv, k) for k in fv.__dataclass_fields__ if k != "partial_window"},
     }
     (d / "snap.json").write_text(json.dumps(snapshot))
     _run(base + [
@@ -418,8 +418,47 @@ def _per_regime_envelope(d, tmp_path):
     return path, "'kind'"
 
 
+def _edited_fill(name, edit, field):
+    """A case: ``fill.json`` with ``edit`` applied to its JSON object, and the text the error must hold."""
+
+    def case(d, tmp_path):
+        blob = json.loads((d / "fill.json").read_text())
+        edit(blob)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(blob))  # nan and infinities as NaN and Infinity, which json reads back
+        return path, field
+
+    case.__name__ = f"_{name}"
+    return case
+
+
+def _set_weight(value):
+    return lambda blob: blob["mlp"]["weights"][1][0].__setitem__(0, value)
+
+
+def _set_std(value):
+    return lambda blob: blob["mlp"]["std"].__setitem__(0, value)
+
+
+_WHOLE_FILE_CASES = [
+    _edited_fill("nan_weight", _set_weight(float("nan")), "'mlp'"),
+    _edited_fill("inf_weight", _set_weight(float("inf")), "'mlp'"),
+    _edited_fill("zero_std", _set_std(0.0), "'mlp'"),
+    _edited_fill("nan_std", _set_std(float("nan")), "'mlp'"),
+    # the first layer loses a column: a rectangular matrix whose shape does not chain
+    _edited_fill("unchained_weights", lambda blob: [row.pop() for row in blob["mlp"]["weights"][0]], "'mlp'"),
+    _edited_fill("text_span", lambda blob: blob.update(trained_span=["a", "b"]), "'trained_span'"),
+    _edited_fill("negative_horizon", lambda blob: blob.update(horizon=-1), "'horizon'"),
+    _edited_fill(
+        "other_horizon", lambda blob: blob.update(horizon=5.0), "'horizon' is 5.0, but the configured horizon is 1.0"
+    ),
+]
+
+
 @pytest.mark.parametrize("consumer", [_route, _backtest])
-@pytest.mark.parametrize("bad_fill", [_cleanup_as_fill, _renamed_columns, _no_horizon, _per_regime_envelope])
+@pytest.mark.parametrize(
+    "bad_fill", [_cleanup_as_fill, _renamed_columns, _no_horizon, _per_regime_envelope, *_WHOLE_FILE_CASES]
+)
 def test_wrong_or_malformed_fill_model_is_rejected(pipeline, tmp_path, capsys, consumer, bad_fill):
     path, field = bad_fill(pipeline, tmp_path)
     err = _fails(consumer(pipeline, path, pipeline / "cleanup.json", tmp_path / "out.json"), capsys)
@@ -468,7 +507,33 @@ def _features_not_an_object(blob):
     return "'features'"
 
 
-@pytest.mark.parametrize("edit", [_no_volatility, _no_best_bid, _misspelled, _non_numeric, _features_not_an_object])
+def _nan_feature(blob):
+    blob["features"]["best_imbalance"] = float("nan")
+    return "'features.best_imbalance' is nan, not a finite number"
+
+
+def _huge_integer_price(blob):
+    blob["best_ask"] = 10**400
+    return "'best_ask'"
+
+
+def _zero_tick(blob):
+    blob["tick_size"] = 0
+    return "tick_size must be positive, got 0"
+
+
+def _partial_window(blob):
+    blob["features"]["partial_window"] = False
+    return "'features.partial_window' is not a feature column"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _no_volatility, _no_best_bid, _misspelled, _non_numeric, _features_not_an_object,
+        _nan_feature, _huge_integer_price, _zero_tick, _partial_window,
+    ],
+)
 def test_malformed_snapshot_names_the_file_and_field(pipeline, tmp_path, capsys, edit):
     blob = json.loads((pipeline / "snap.json").read_text())
     field = edit(blob)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,11 +15,11 @@ from lobkit.fill_model import (
     stratified_censoring_survival,
     train_fill_model,
 )
-from lobkit.io import load_model
 from lobkit.messages import Side
-from lobkit.mlp import SingleClass, TrainConfig
+from lobkit.mlp import MLP, SingleClass, TrainConfig
 from lobkit.replay import OrderLifecycle, Outcome
 from lobkit.survival import Observation, fill_probability_at, post_and_wait_fill
+from lobkit.table import ArtifactInvalid
 
 
 def _fv(delta=1.0, spread=4.0, omega=None):
@@ -299,10 +300,49 @@ def test_fill_model_save_load_round_trip(tmp_path):
     )
     path = tmp_path / "fill.json"
     model.save(path)
-    clone = load_model(path)
+    clone = FillModel.load(path)
     assert isinstance(clone, FillModel)
     np.testing.assert_array_equal(model.mlp.predict(X), clone.mlp.predict(X))
     assert clone.columns == ("a", "b", "c", "d")
+
+
+def _fill_file(tmp_path, **fields):
+    """A fill model file over four columns, with ``fields`` written over the model's own."""
+    model = FillModel(MLP([4, 3, 1], seed=1), columns=("a", "b", "c", "d"), trained_span=(1, 2))
+    blob = {**model.envelope(), **fields}
+    path = tmp_path / "fill.json"
+    path.write_text(json.dumps(blob))
+    return path
+
+
+@pytest.mark.parametrize(
+    "fields,named",
+    [
+        ({"columns": ["a", "b", "c"]}, "'columns'"),
+        ({"horizon": 0}, "'horizon'"),
+        ({"horizon": None}, "'horizon'"),
+        ({"horizon": 10**400}, "'horizon'"),  # an int past the float range
+        ({"trained_span": [1, 2, 3]}, "'trained_span'"),
+        ({"trained_span": [1.5, 2]}, "'trained_span'"),
+        ({"kind": "cleanup"}, "'kind'"),
+    ],
+)
+def test_fill_model_load_rejects_a_field_the_model_rejects(tmp_path, fields, named):
+    path = _fill_file(tmp_path, **fields)
+    with pytest.raises(ArtifactInvalid) as err:
+        FillModel.load(path)
+    assert str(err.value).startswith(f"{path}: ") and named in str(err.value)
+
+
+def test_fill_model_file_is_its_fields(tmp_path):
+    path = _fill_file(tmp_path)
+    blob = json.loads(path.read_text())
+    assert sorted(blob) == ["columns", "horizon", "kind", "mlp", "trained_span"]
+    assert FillModel.load(path).trained_span == (1, 2)
+    del blob["trained_span"]
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ArtifactInvalid, match="required field 'trained_span' is missing"):
+        FillModel.load(path)
 
 
 def test_build_training_matrix_drops_partial_windows():

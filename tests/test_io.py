@@ -112,7 +112,8 @@ ROUND_TRIP = settings(max_examples=60, deadline=None, database=None, derandomize
 # commas, quotes and line breaks make the CSV writer quote a cell
 IDS = st.text(st.sampled_from('ab7_-,"\' \n'), max_size=6)
 INTS = st.integers(-(2**63), 2**63)
-FLOATS = st.one_of(st.floats(allow_nan=False), st.sampled_from([-0.0, 0.0, 2.0, 1e-300]))
+# a number cell holds a finite float; nan and infinities are malformed cells (see NON_FINITE below)
+FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([-0.0, 0.0, 2.0, 1e-300]))
 # int-valued sizes, as ints and as floats, are written as floats
 SIZES = st.one_of(FLOATS, st.integers(0, 10**6), st.integers(0, 10**6).map(float))
 
@@ -209,7 +210,7 @@ def test_only_aggressiveness_may_be_empty(tmp_path):
     assert all(r.features.aggressiveness is None for r in lio.read_lifecycles(blanked("aggressiveness")))
     for name in lio._FEATURE_FIELDS:
         if name != "aggressiveness":
-            with pytest.raises(ArtifactInvalid, match=f":2: column '{name}' is '', not a number"):
+            with pytest.raises(ArtifactInvalid, match=f":2: column '{name}' is '', not a finite number"):
                 lio.read_lifecycles(blanked(name))
 
 
@@ -228,10 +229,15 @@ READERS = {
                "optional float": "dp_ask_horizon"}),
 }
 BAD_CELLS = {"int": "1.5", "float": "b", "enum": "abc", "bool": "2", "optional float": "x"}
+#: cells ``float`` parses that a number column refuses
+NON_FINITE = ("nan", "inf", "-inf")
 CASES = [
     (artifact, case)
     for artifact, (_, _, typed) in READERS.items()
-    for case in ["missing column", *(f"bad {kind}" for kind in typed), "short row", "long row", "empty file"]
+    for case in [
+        "missing column", *(f"bad {kind}" for kind in typed), "short row", "long row", "empty file",
+        *(f"{cell} {kind}" for kind in ("float", "optional float") if kind in typed for cell in NON_FINITE),
+    ]
 ]
 
 
@@ -261,6 +267,10 @@ def _malformed(source: Path, out: Path, case: str, removed: str, typed: dict) ->
     elif case.startswith("bad "):
         column, cell = typed[case[4:]], BAD_CELLS[case[4:]]
         rows[1][header.index(column)] = cell
+    elif case.split(" ", 1)[0] in NON_FINITE:
+        cell, kind = case.split(" ", 1)
+        column = typed[kind]
+        rows[1][header.index(column)] = cell
     elif case == "short row":
         column = header[5]
         rows[1] = rows[1][:5]
@@ -286,6 +296,8 @@ def test_malformed_table_names_file_line_and_column(artifacts, tmp_path, artifac
     assert message.startswith(f"{path}:{line}: ") and repr(column) in message
     if cell is not None:
         assert repr(cell) in message
+    if cell in NON_FINITE:
+        assert message.endswith(f"column {column!r} is {cell!r}, not a finite number" + " or empty" * ("optional" in case))
 
 
 @pytest.mark.parametrize("artifact", READERS)

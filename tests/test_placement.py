@@ -55,6 +55,12 @@ def test_fee_table_levels():
         assert FEE_TABLE[level].taker >= FEE_TABLE[level].maker
 
 
+@pytest.mark.parametrize("tick_size", [0.0, -0.01, math.nan])
+def test_snapshot_tick_size_must_be_positive(tick_size):
+    with pytest.raises(ValueError, match=f"tick_size must be positive, got {tick_size}"):
+        MarketSnapshot(best_bid=100.00, best_ask=100.02, tick_size=tick_size)
+
+
 def test_immediate_cost_zero_fee_half_spread():
     snap = MarketSnapshot(best_bid=100.00, best_ask=100.02, tick_size=0.01)
     assert immediate_cost(snap, ZERO_FEES) == pytest.approx(0.01)

@@ -18,10 +18,12 @@ range) and whether the change stays inside the metric's bound: ``ok``,
 the bound and not every change run beats every base run, so the runs are too
 spread to tell whether the bound holds.  It also says, for each side, whether
 its own runs wrote the same artifact digests, names every artifact whose
-digest differs between the base and the change, and counts the failed
-operations.  It exits 1 when a side's runs disagree with each other or the
-change fails an operation; artifacts that differ between the sides alone do
-not fail it, since a change may alter an artifact on purpose.
+digest differs between the base and the change, counts the failed
+operations and gives each tree's source size (``src_lines``, the total of
+``wc -l src/lobkit/*.py``).  It exits 1 when a side's runs disagree with
+each other or the change fails an operation; artifacts that differ between
+the sides alone do not fail it, since a change may alter an artifact on
+purpose.
 
 The change is recorded as the commit the working tree sits on, whether the
 tree differs from it under ``src/`` or ``benchmarks/``, and the sha256 of
@@ -88,6 +90,11 @@ def working_tree() -> dict:
         "diff_sha256": hashlib.sha256(diff).hexdigest(),
         "untracked": untracked.decode().split(),
     }
+
+
+def src_lines(tree: Path) -> int:
+    """The line total ``wc -l src/lobkit/*.py`` prints in ``tree``: the newlines of lobkit's modules."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "lobkit").glob("*.py"))
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -168,6 +175,8 @@ def report(entry: dict) -> None:
     agree = entry["runs_agree"]
     print(f"  artifacts: base runs agree {agree['base']}, change runs agree {agree['change']}; "
           f"differ between base and change: {', '.join(entry['artifacts_differ']) or 'none'}")
+    lines = entry["src_lines"]
+    print(f"  src/lobkit/*.py: base {lines['base']} lines, change {lines['change']} ({lines['change'] - lines['base']:+d})")
     print(f"  failed operations base {entry['failed']['base']}/{entry['attempted']['base']}, "
           f"change {entry['failed']['change']}/{entry['attempted']['change']}")
     print(f"  {'metric':24}{'base median [q1-q3]':34}{'change median [q1-q3]':34} ratio  wins  gain  bound")
@@ -205,6 +214,7 @@ def main(argv: list[str] | None = None) -> int:
                 "pairs": args.pairs,
                 "base": base_commit,
                 "change": change,
+                "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
                 **artifact_agreement(pairs),
                 "failed": {s: sum(p[s]["failed"] for p in pairs) for s in ("base", "change")},
                 "attempted": {s: sum(p[s]["attempted"] for p in pairs) for s in ("base", "change")},
