@@ -2,7 +2,7 @@
 saved-cost order placement."""
 
 from .backtest import constant_cleanup, fit_router_models, record_columns
-from .book import BookState, CrossedBook, SequenceGap, UnknownOrderId
+from .book import BookState, CrossedBook, UnknownOrderId
 from .cleanup import (
     BucketCurve,
     CleanupModel,

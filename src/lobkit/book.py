@@ -25,13 +25,6 @@ class UnknownOrderId(BookError):
     pass
 
 
-class SequenceGap(BookError):
-    def __init__(self, expected: int, got: int):
-        super().__init__(f"expected seq {expected}, got {got}")
-        self.expected = expected
-        self.got = got
-
-
 class CrossedBook(BookError):
     pass
 
@@ -104,12 +97,6 @@ class BookState:
         """The side's occupied prices, best first."""
         return reversed(self._bid_prices) if side is BID else iter(self._ask_prices)
 
-    def mid(self) -> float:
-        bb, ba = self.best_bid(), self.best_ask()
-        if bb is None or ba is None:
-            raise EmptySideError("mid requires both sides")
-        return (bb + ba) / 2.0
-
     def spread_ticks(self) -> int:
         bb, ba = self.best_bid(), self.best_ask()
         if bb is None or ba is None:
@@ -119,11 +106,8 @@ class BookState:
     def queue_at(self, side: Side, price: int) -> deque[list]:
         return self._levels(side).get(price, deque())
 
-    def level_size(self, side: Side, price: int) -> float:
-        return sum(entry[1] for entry in self.queue_at(side, price))
-
     def best_queue_size(self, side: Side) -> float:
-        """``level_size`` at the side's best price."""
+        """The size resting at the side's best price."""
         if side is BID:
             levels, ladder, best = self.bids, self._bid_prices, -1
         else:
@@ -177,12 +161,10 @@ class BookState:
 
     # -- mutation --------------------------------------------------------
 
-    def apply(self, msg: Level3Message, allow_gap: bool = False) -> ApplyEffect:
-        """Apply one message; raises before mutating on any rejection."""
+    def apply(self, msg: Level3Message) -> ApplyEffect:
+        """Apply one message; raises before mutating on any rejection.  The
+        ``seq`` is recorded in ``last_seq``, not checked: replay finds gaps there."""
         msg.validate()
-        if self.last_seq is not None and msg.seq != self.last_seq + 1 and not allow_gap:
-            raise SequenceGap(self.last_seq + 1, msg.seq)
-
         kind = msg.kind
         if kind is ADD:
             effect = self._apply_add(msg)

@@ -202,10 +202,12 @@ def cmd_synth(args, cfg: PipelineConfig) -> int:
     config = lsynth_preset(args.preset, args.seed, cfg)
     for item in args.synth_set or []:
         _assign(config, item, "--synth-set")
-    messages, truth = lsynth.generate_flow(config, args.duration)
+    generator = lsynth.FlowGenerator(config, args.duration)
+    messages, truth = generator.run()
     write_messages(args.out, messages)
     lsynth.write_truth(args.truth, truth)
-    _write_json(None, {"messages": len(messages), "subjects": len(truth)})
+    skipped = {name: getattr(generator, name) for name in ("skipped_subjects", "skipped_trades", "skipped_moves")}
+    _write_json(None, {"messages": len(messages), "subjects": len(truth), **skipped})
     return 0
 
 

@@ -97,21 +97,11 @@ class CensoringModel:
 OMEGA_EDGES = (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0 + 1e-9)
 
 
-def stratified_censoring_survival(
-    records: Sequence[OrderLifecycle],
-    delta_edges: Sequence[float] | None = None,
-    min_count: int = 50,
-) -> CensoringModel:
-    """Per-regime censoring curves; passive deciles by default."""
+def stratified_censoring_survival(records: Sequence[OrderLifecycle], min_count: int = 50) -> CensoringModel:
+    """Per-regime censoring curves; the passive strata are distance deciles."""
     deltas = [r.features.delta for r in records if r.features.delta > 0]
-    if delta_edges is None:
-        if deltas:
-            delta_edges = quantile_edges(deltas, 10)
-            if len(delta_edges) < 2:
-                delta_edges = [0.0, float("inf")]
-        else:
-            delta_edges = [0.0, float("inf")]
-    model = CensoringModel(delta_edges=list(delta_edges))
+    edges = quantile_edges(deltas, 10) if deltas else []
+    model = CensoringModel(delta_edges=edges if len(edges) >= 2 else [0.0, float("inf")])
     groups: dict[str, list[Observation]] = {}
     for rec in records:
         key = model.stratum_of(rec.features.delta, rec.features.aggressiveness)

@@ -18,7 +18,10 @@ from .messages import SIDE
 from .placement import MarketSnapshot
 from .replay import OrderLifecycle, Outcome
 from .survival import CAUSE_CANCELLATION, CAUSE_EXECUTION, CIFCurve, SurvivalCurve, gray_variance, log_log_ci
-from .table import FLAG, INTEGER, NUMBER, TEXT, ArtifactInvalid, choice, finite_number, json_object, optional_number, read_table, write_table
+from .table import (
+    FLAG, INTEGER, NON_NEGATIVE, NUMBER, POSITIVE, TEXT, ZERO_OR_ONE, ArtifactInvalid, choice, finite_number, json_object,
+    optional_number, read_table, write_table,
+)
 
 
 #: Lifecycle columns that fill a ``FeatureVector``, in field order; the
@@ -35,9 +38,9 @@ LIFECYCLE_FIELDS = {
     "side": SIDE,
     "insert_ts_ns": INTEGER,
     "price_ticks": INTEGER,
-    "size": NUMBER,
+    "size": POSITIVE,
     "outcome": _OUTCOME,
-    "outcome_time_s": NUMBER,
+    "outcome_time_s": POSITIVE,
     "fill_ratio": NUMBER,
     "fill_ratio_horizon": optional_number(),
     "dp_ask_horizon": optional_number(),
@@ -79,9 +82,9 @@ MATRIX_FIELDS = {
     "order_id": TEXT,
     "insert_ts_ns": INTEGER,
     "outcome": _OUTCOME,
-    "outcome_time_s": NUMBER,
-    "label": NUMBER,
-    "weight": NUMBER,
+    "outcome_time_s": POSITIVE,
+    "label": ZERO_OR_ONE,
+    "weight": NON_NEGATIVE,
     "dp_ask_horizon": optional_number(),
     **dict.fromkeys(FEATURE_COLUMNS, NUMBER),
 }

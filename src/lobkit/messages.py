@@ -14,7 +14,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .table import INTEGER, NUMBER, TEXT, ArtifactInvalid, choice, optional_number, parse_row, read_table, write_table
+from .table import INTEGER, NON_NEGATIVE, TEXT, ArtifactInvalid, choice, optional_number, parse_row, read_table, write_table
 
 
 class Side(Enum):
@@ -104,8 +104,8 @@ MESSAGE_FIELDS = {
     "order_id": TEXT,
     "side": SIDE,
     "price_ticks": INTEGER,
-    "size": NUMBER,
-    "exec_size": optional_number(empty=0.0),  # written only for executes
+    "size": NON_NEGATIVE,
+    "exec_size": optional_number(empty=0.0, kind=NON_NEGATIVE),  # written only for executes
 }
 
 

@@ -25,6 +25,10 @@ class EmptyStream(ValueError):
     pass
 
 
+class FeatureOverflow(ValueError):
+    """A sum an add's features take (its windows, the volume ahead of it) overflows a float."""
+
+
 class Outcome(IntEnum):
     # values match the survival cause codes
     CENSORED = 0
@@ -154,7 +158,7 @@ def track_lifecycles(stream: Iterable[Level3Message], cfg: InstrumentConfig) -> 
         best_ask_before = book.best_ask()
 
         try:
-            effect = book.apply(msg, allow_gap=True)
+            effect = book.apply(msg)
         except CrossedBook:
             diag.crossed_rejected += 1
             prev_ts = msg.ts
@@ -256,6 +260,8 @@ def _maybe_track(
     except EmptySideError:
         diag.no_reference_skipped += 1
         return None
+    except OverflowError as exc:
+        raise FeatureOverflow(f"message seq {msg.seq} (add {msg.order_id!r}): a feature sum overflows ({exc})") from None
     best_ask_now = book.best_ask()
     return OrderLifecycle(
         order_id=msg.order_id,

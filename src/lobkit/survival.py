@@ -36,13 +36,10 @@ class Observation:
 
     time: float
     cause: int
-    weight: float = 1.0
 
     def __post_init__(self) -> None:
         if self.time <= 0:
             raise ValueError(f"duration must be positive, got {self.time}")
-        if self.weight < 0 or not math.isfinite(self.weight):
-            raise ValueError(f"weight must be finite and >= 0, got {self.weight}")
 
 
 # ---------------------------------------------------------------------------
@@ -69,9 +66,9 @@ class SurvivalCurve:
 
     times: np.ndarray
     values: np.ndarray  # post-jump survival
-    at_risk: np.ndarray  # n_k, weighted
-    deaths: np.ndarray  # d_k, weighted
-    censored: np.ndarray  # c_k, weighted
+    at_risk: np.ndarray  # n_k
+    deaths: np.ndarray  # d_k
+    censored: np.ndarray  # c_k
 
     def at(self, t: float | np.ndarray) -> float | np.ndarray:
         """Survival at ``t`` using events strictly before ``t``."""
@@ -110,26 +107,17 @@ class CIFCurve:
 
 
 def _tabulate(obs: Sequence[Observation]):
-    """Aggregate observations into per-unique-time weighted counts."""
+    """The unique times, the risk set just before each and cause -> count at each, as floats."""
     if not obs:
         raise EmptyInput("no observations")
-    active = [o for o in obs if o.weight > 0]
-    if not active:
-        raise EmptyInput("all observations have zero weight")
-    times = np.array([o.time for o in active])
-    causes = np.array([o.cause for o in active])
-    weights = np.array([o.weight for o in active])
-    order = np.argsort(times, kind="stable")
-    times, causes, weights = times[order], causes[order], weights[order]
-    uniq, inverse = np.unique(times, return_inverse=True)
-    k = len(uniq)
-    w1 = np.bincount(inverse, weights=weights * (causes == CAUSE_EXECUTION), minlength=k)
-    w2 = np.bincount(inverse, weights=weights * (causes == CAUSE_CANCELLATION), minlength=k)
-    wc = np.bincount(inverse, weights=weights * (causes == CAUSE_CENSORED), minlength=k)
-    total = w1 + w2 + wc
-    # n_k = weight still at risk just before each unique time
-    n = np.concatenate(([weights.sum()], weights.sum() - np.cumsum(total)[:-1]))
-    return uniq, n, w1, w2, wc
+    uniq, inverse = np.unique([o.time for o in obs], return_inverse=True)
+    causes = np.array([o.cause for o in obs])
+    counts = {
+        cause: np.bincount(inverse[causes == cause], minlength=len(uniq)).astype(float)
+        for cause in (CAUSE_EXECUTION, CAUSE_CANCELLATION, CAUSE_CENSORED)
+    }
+    n = len(obs) - np.concatenate(([0.0], np.cumsum(sum(counts.values()))[:-1]))
+    return uniq, n, counts
 
 
 def _product_limit(n: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -151,36 +139,36 @@ def kaplan_meier(
     curve does, because executions at the same instant precede the
     cancellations it treats as deaths.
     """
-    uniq, n, w1, w2, wc = _tabulate(obs)
-    counts = {CAUSE_EXECUTION: w1, CAUSE_CANCELLATION: w2, CAUSE_CENSORED: wc}
+    uniq, n, counts = _tabulate(obs)
     d = np.zeros_like(n)
     first = np.zeros_like(n)
     c = np.zeros_like(n)
-    for cause, w in counts.items():
+    for cause, count in counts.items():
         if cause in death_causes:
-            d = d + w
+            d = d + count
         else:
-            c = c + w
+            c = c + count
             if cause in tie_first_causes:
-                first = first + w
+                first = first + count
     return SurvivalCurve(uniq, _product_limit(n - first, d), n, d, c)
 
 
 def aalen_johansen(obs: Sequence[Observation]) -> CIFCurve:
     """Cause-specific cumulative incidence built on the all-cause curve."""
-    uniq, n, w1, w2, wc = _tabulate(obs)
-    survival = _product_limit(n, w1 + w2)
+    uniq, n, counts = _tabulate(obs)
+    d1, d2 = counts[CAUSE_EXECUTION], counts[CAUSE_CANCELLATION]
+    survival = _product_limit(n, d1 + d2)
     s_prev = np.concatenate(([1.0], survival[:-1]))
     safe_n = np.where(n > 0, n, 1.0)
-    cif1 = np.cumsum(s_prev * w1 / safe_n)
-    cif2 = np.cumsum(s_prev * w2 / safe_n)
+    cif1 = np.cumsum(s_prev * d1 / safe_n)
+    cif2 = np.cumsum(s_prev * d2 / safe_n)
     return CIFCurve(
         times=uniq,
         cif={CAUSE_EXECUTION: cif1, CAUSE_CANCELLATION: cif2},
         survival=survival,
         at_risk=n,
-        deaths={CAUSE_EXECUTION: w1, CAUSE_CANCELLATION: w2},
-        censored=wc,
+        deaths={CAUSE_EXECUTION: d1, CAUSE_CANCELLATION: d2},
+        censored=counts[CAUSE_CENSORED],
     )
 
 

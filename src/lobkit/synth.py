@@ -212,7 +212,10 @@ def uniform_draw(rng: np.random.Generator, low: float, high: float) -> Callable[
     return lambda: low + span * random()
 
 
-class _Generator:
+class FlowGenerator:
+    """One seeded stream: ``run()`` returns its messages and truth rows, and the
+    ``skipped_*`` counters then hold the subject arrivals, trades and wall moves it skipped."""
+
     def __init__(self, config: GroundTruthConfig, duration: float):
         _check_draws(config)
         self.cfg = config
@@ -254,7 +257,7 @@ class _Generator:
             self.gap_pending = False
         ts = self.start_ts + int(round(t * 1e9))
         msg = Level3Message(self.seq, ts, kind, order_id, side, price, size, exec_size)  # positional: no kwargs parse
-        self.book.apply(msg, allow_gap=True)
+        self.book.apply(msg)
         self.messages.append(msg)
 
     def regime(self) -> RegimeSpec:
@@ -475,7 +478,7 @@ class _Generator:
 
 def generate_flow(config: GroundTruthConfig, duration: float) -> tuple[list[Level3Message], list[TruthRow]]:
     """Seed-deterministic stream plus its per-order truth sidecar."""
-    return _Generator(config, duration).run()
+    return FlowGenerator(config, duration).run()
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ A schema maps each column name, in header order, to its :class:`Kind`.
 Floats are written as ``repr`` of the Python float, as ``csv.writer``
 writes a float, so identical runs give byte-identical files and values
 round-trip exactly; ``None`` is an empty cell, booleans are ``0``/``1``.  A
-number cell must be finite.  A file that does not fit its schema raises
+number cell must be finite, and inside its column's domain where the column
+has one.  A file that does not fit its schema raises
 :class:`ArtifactInvalid` naming ``path:line``, the column and the value.
 """
 
@@ -70,16 +71,42 @@ def _finite(cell: str, _float=float, _isfinite=math.isfinite) -> float:
     raise ValueError(cell)
 
 
+# in place of ``_finite``: one chained comparison (which nan fails) tests the range, with no call beside float()
+def _positive(cell: str, _float=float, _max=sys.float_info.max) -> float:
+    x = _float(cell)
+    if 0.0 < x <= _max:
+        return x
+    raise ValueError(cell)
+
+
+def _non_negative(cell: str, _float=float, _max=sys.float_info.max) -> float:
+    x = _float(cell)
+    if 0.0 <= x <= _max:
+        return x
+    raise ValueError(cell)
+
+
+def _zero_or_one(cell: str, _float=float) -> float:
+    x = _float(cell)
+    if x == 0.0 or x == 1.0:
+        return x
+    raise ValueError(cell)
+
+
 TEXT = Kind(str, str, "text")
 INTEGER = Kind(int, int, "an integer")
 NUMBER = Kind(_finite, float, "a finite number")  # an int is written 3.0, numpy's float as a Python float
+POSITIVE = Kind(_positive, float, "a positive finite number")
+NON_NEGATIVE = Kind(_non_negative, float, "a non-negative finite number")
+ZERO_OR_ONE = Kind(_zero_or_one, float, "0 or 1")
 FLAG = Kind({"0": False, "1": True}.__getitem__, int, "0 or 1")
 
 
-def optional_number(empty: float | None = None) -> Kind:
-    """A finite float whose empty cell reads as ``empty``; ``None`` is written empty."""
+def optional_number(empty: float | None = None, kind: Kind = NUMBER) -> Kind:
+    """A float of the number ``kind`` whose empty cell reads as ``empty``; ``None`` is written empty."""
+    parse = kind.parse
     return Kind(
-        lambda cell: _finite(cell) if cell else empty, lambda x: "" if x is None else float(x), "a finite number or empty"
+        lambda cell: parse(cell) if cell else empty, lambda x: "" if x is None else float(x), f"{kind.expects} or empty"
     )
 
 

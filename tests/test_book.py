@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lobkit.book import BookError, BookState, CrossedBook, EmptySideError, SequenceGap, UnknownOrderId
+from lobkit.book import BookError, BookState, CrossedBook, EmptySideError, UnknownOrderId
 from lobkit.messages import Level3Message, MessageKind, Side
 
 
@@ -71,13 +71,12 @@ def test_unknown_order_rejected():
         book.apply(msg(1, MessageKind.CANCEL, "ghost", Side.BID, 100))
 
 
-def test_sequence_gap_detected_and_overridable():
+def test_gapped_message_applies_and_last_seq_records_it():
     book = BookState()
     book.apply(msg(1, MessageKind.ADD, "o1", Side.BID, 100, size=5))
-    with pytest.raises(SequenceGap):
-        book.apply(msg(5, MessageKind.ADD, "o2", Side.BID, 99, size=5))
-    book.apply(msg(5, MessageKind.ADD, "o2", Side.BID, 99, size=5), allow_gap=True)
+    book.apply(msg(5, MessageKind.ADD, "o2", Side.BID, 99, size=5))
     assert book.contains("o2")
+    assert book.last_seq == 5
 
 
 def test_crossed_add_rejected_without_mutation():
@@ -241,10 +240,8 @@ class ListBook:
             o[3] for o in ahead if o[1] is side and o[2] == price
         )
 
-    def apply(self, m, allow_gap):
+    def apply(self, m):
         """(rejection type or None, fills as tuples, unconsumed size)."""
-        if self.last_seq is not None and m.seq != self.last_seq + 1 and not allow_gap:
-            return SequenceGap, [], 0.0
         fills, unconsumed = [], 0.0
         if m.kind is MessageKind.ADD:
             if self.live(m.order_id) is not None:
@@ -279,7 +276,7 @@ class ListBook:
 QUARTERS = st.integers(1, 16).map(lambda q: q * 0.25)  # every sum of these is exact
 ORDER_IDS = st.integers(0, 9).map(lambda k: f"o{k}")  # a small pool: duplicates and unknown ids
 # three prices for both sides and long lists, so queues several orders deep form and
-# cancels behind a queue's head are common (about 80 in the 300 derandomized examples)
+# cancels behind a queue's head are common (about 160 in the 300 derandomized examples)
 BOOK_OPS = st.lists(
     st.tuples(
         st.one_of(
@@ -288,7 +285,6 @@ BOOK_OPS = st.lists(
             st.tuples(st.just(MessageKind.EXECUTE), ORDER_IDS, st.integers(1, 48).map(lambda q: q * 0.25)),
         ),
         st.booleans(),  # skip a sequence number
-        st.booleans(),  # allow a gap
     ),
     min_size=20,
     max_size=120,
@@ -301,7 +297,7 @@ BOOK_OPS = st.lists(
 # bid level, the tail of a two-deep ask level, then a sweep of what is left
 @example(
     ops=[
-        (op, False, False)
+        (op, False)
         for op in (
             (MessageKind.ADD, "o1", Side.BID, 100, 1.0),
             (MessageKind.ADD, "o2", Side.BID, 100, 2.0),
@@ -318,7 +314,7 @@ BOOK_OPS = st.lists(
 )
 def test_book_matches_list_reference(ops):
     book, ref = BookState(), ListBook()
-    for (kind, order_id, *rest), skip, allow_gap in ops:
+    for (kind, order_id, *rest), skip in ops:
         seq = (ref.last_seq or 0) + (2 if skip else 1)
         if kind is MessageKind.ADD:
             side, price, size = rest
@@ -327,13 +323,13 @@ def test_book_matches_list_reference(ops):
             known = ref.live(order_id)
             side, price = (known[1], known[2]) if known else (Side.BID, 100)
             m = msg(seq, kind, order_id, side, price, exec_size=rest[0] if rest else 0.0)
-        rejection, fills, unconsumed = ref.apply(m, allow_gap)
+        rejection, fills, unconsumed = ref.apply(m)
         if rejection is not None:
             with pytest.raises(BookError) as info:
-                book.apply(m, allow_gap=allow_gap)
+                book.apply(m)
             assert type(info.value) is rejection
         else:
-            effect = book.apply(m, allow_gap=allow_gap)
+            effect = book.apply(m)
             assert [(f.order_id, f.size, f.price, f.side, f.exhausted) for f in effect.fills] == fills
             assert effect.unconsumed == unconsumed
         assert book.last_seq == ref.last_seq
@@ -343,7 +339,8 @@ def test_book_matches_list_reference(ops):
         for side in Side:
             prices = ref.prices(side)
             assert sorted(book.bids if side is Side.BID else book.asks, reverse=side is Side.BID) == prices
-            assert [book.level_size(side, p) for p in prices] == [ref.level_size(side, p) for p in prices]
+            sizes = [sum(entry[1] for entry in book.queue_at(side, p)) for p in prices]
+            assert sizes == [ref.level_size(side, p) for p in prices]
             assert [book.level_rank(side, p) for p in prices] == list(range(1, len(prices) + 1))
             if prices:
                 assert book.best_queue_size(side) == ref.level_size(side, prices[0])

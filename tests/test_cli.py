@@ -214,6 +214,37 @@ def test_replay_diagnostics_reconcile_every_accepted_add(pipeline):
     assert diag["accepted_adds"] == diag["records"] + excluded
 
 
+def test_replay_names_the_add_whose_feature_sum_overflows(pipeline, tmp_path, capsys):
+    """Finite bid sizes near the float maximum overflow the window sums of the first tracked add
+    whose window holds two of them, which may be one of them."""
+    with open(pipeline / "messages.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    seq, kind, side, size = (header.index(name) for name in ("seq", "kind", "side", "size"))
+    huge = [r for r in rows if r[kind] == "add" and r[side] == "bid" and int(r[seq]) > 200][:3]
+    for r in huge:
+        r[size] = "1e308"
+    bad = tmp_path / "messages.csv"
+    with open(bad, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    err = _fails(BASE + ["replay", "--messages", str(bad), "--out", str(tmp_path / "o.csv")], capsys)
+    assert err["error"] == "FeatureOverflow"
+    named = next(r for r in rows if f"message seq {r[seq]} (add {r[header.index('order_id')]!r})" in err["message"])
+    assert named[kind] == "add" and int(named[seq]) >= int(huge[1][seq])
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_synth_reports_the_subjects_trades_and_moves_it_skipped(tmp_path, capsys):
+    """Criterion 11's training stream, whose counters the generator itself keeps."""
+    capsys.readouterr()
+    _run(["synth", "--preset", "monotone-delta", "--seed", "5", "--duration", "90",
+          "--out", str(tmp_path / "m.csv"), "--truth", str(tmp_path / "t.csv")])
+    out = json.loads(capsys.readouterr().out)
+    assert out == {
+        "messages": len(list(read_messages(tmp_path / "m.csv"))), "subjects": len(read_truth(tmp_path / "t.csv")),
+        "skipped_subjects": 9, "skipped_trades": 2, "skipped_moves": 1,
+    }
+
+
 def test_survival_counts_the_records_outside_every_bucket(pipeline, tmp_path, capsys):
     d = pipeline
     capsys.readouterr()
@@ -568,6 +599,10 @@ def _edit_csv(source, out, column, row=None, value=None):
         ("lifecycles", "insert_ts_ns", "zz", "features --lifecycles {bad} --out {tmp}/o.csv"),
         ("matrix", "delta", None, "train-fill --matrix {bad} --seed 7 --out {tmp}/o.json"),
         ("truth", "lambda_exec", "b", "features --lifecycles {pipeline}/lifecycles.csv --truth {bad} --out {tmp}/o.csv"),
+        # finite cells outside their column's domain
+        ("matrix", "weight", "-1.0", "train-fill --matrix {bad} --seed 7 --out {tmp}/o.json"),
+        ("matrix", "label", "2.0", "train-fill --matrix {bad} --seed 7 --out {tmp}/o.json"),
+        ("lifecycles", "outcome_time_s", "-1.0", "features --lifecycles {bad} --out {tmp}/o.csv"),
     ],
 )
 def test_malformed_table_fails_with_artifact_invalid(pipeline, tmp_path, capsys, artifact, column, value, command):

@@ -100,7 +100,7 @@ def test_stratified_matches_unstratified_on_identical_populations():
     for i, (t, c) in enumerate(zip(times, causes)):
         records.append(_record(t, Outcome(c), delta=1.0, oid=f"p{i}"))  # passive stratum
         records.append(_record(t, Outcome(c), delta=0.0, oid=f"b{i}"))  # at-best stratum
-    model = stratified_censoring_survival(records, delta_edges=[0.0, 10.0], min_count=1)
+    model = stratified_censoring_survival(records, min_count=1)
     pooled = censoring_survival([Observation(t, c) for t, c in zip(times, causes)])
     for t in (0.5, 1.0, 2.0, 3.0):
         assert model.survival_at(1.0, None, t) == pytest.approx(pooled.at(t))
@@ -263,7 +263,7 @@ def test_ipcw_per_stratum_equals_per_record_reference(seed):
 
 def test_ipcw_without_a_curve_for_a_stratum_raises_key_error():
     records = [_record(0.4, Outcome.FILLED, delta=2.0, oid="p"), _record(0.3, Outcome.FILLED, delta=0.0, oid="b")]
-    model = stratified_censoring_survival(records[:1], delta_edges=[0.0, 10.0], min_count=1)
+    model = stratified_censoring_survival(records[:1], min_count=1)
     del model.curves["pooled"]
     with pytest.raises(KeyError, match="'at_best' and no pooled fallback"):
         ipcw_weights(records, horizon=1.0, censoring=model)

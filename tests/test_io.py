@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from lobkit import io as lio
 from lobkit.features import FEATURE_COLUMNS, FeatureVector, feature_matrix
 from lobkit.fill_model import build_training_matrix, stratified_censoring_survival
-from lobkit.messages import InstrumentConfig, Level3Message, MessageKind, Side, read_messages, write_messages
+from lobkit.messages import (
+    MESSAGE_FIELDS, InstrumentConfig, Level3Message, MessageKind, Side, read_messages, write_messages,
+)
 from lobkit.replay import OrderLifecycle, Outcome, track_lifecycles
-from lobkit.synth import GroundTruthConfig, RegimeSpec, TruthRow, generate_flow, read_truth, write_truth
+from lobkit.synth import TRUTH_FIELDS, GroundTruthConfig, RegimeSpec, TruthRow, generate_flow, read_truth, write_truth
 from lobkit.table import INTEGER, NUMBER, ArtifactInvalid, optional_number, write_table
 
 
@@ -112,10 +114,17 @@ ROUND_TRIP = settings(max_examples=60, deadline=None, database=None, derandomize
 # commas, quotes and line breaks make the CSV writer quote a cell
 IDS = st.text(st.sampled_from('ab7_-,"\' \n'), max_size=6)
 INTS = st.integers(-(2**63), 2**63)
-# a number cell holds a finite float; nan and infinities are malformed cells (see NON_FINITE below)
+# a number cell holds a finite float; nan and infinities are malformed cells (see NON_FINITE below),
+# and so is a cell outside its column's domain (see DOMAIN_CELLS below)
 FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([-0.0, 0.0, 2.0, 1e-300]))
-# int-valued sizes, as ints and as floats, are written as floats
-SIZES = st.one_of(FLOATS, st.integers(0, 10**6), st.integers(0, 10**6).map(float))
+NON_NEGATIVE = st.one_of(st.floats(min_value=0.0, allow_infinity=False), st.sampled_from([-0.0, 0.0, 2.0, 1e-300]))
+POSITIVE = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), st.sampled_from([5e-324, 2.0, 1e-300])
+)
+# int-valued sizes, as ints and as floats, are written as floats;
+# a message's sizes are non-negative, a lifecycle record's positive
+SIZES = st.one_of(NON_NEGATIVE, st.integers(0, 10**6), st.integers(0, 10**6).map(float))
+POSITIVE_SIZES = st.one_of(POSITIVE, st.integers(1, 10**6), st.integers(1, 10**6).map(float))
 
 
 @st.composite
@@ -135,7 +144,7 @@ def truth_rows(draw):
 
 @st.composite
 def lifecycles(draw):
-    size = draw(SIZES)
+    size = draw(POSITIVE_SIZES)
     features = FeatureVector(
         *(draw(FLOATS) for _ in range(5)),
         aggressiveness=draw(st.none() | FLOATS),
@@ -147,7 +156,7 @@ def lifecycles(draw):
     )
     return OrderLifecycle(
         order_id=draw(IDS), side=draw(st.sampled_from(list(Side))), insert_ts=draw(INTS), price=draw(INTS),
-        size=size, features=features, outcome=draw(st.sampled_from(list(Outcome))), outcome_time=draw(FLOATS),
+        size=size, features=features, outcome=draw(st.sampled_from(list(Outcome))), outcome_time=draw(POSITIVE),
         fill_ratio=draw(FLOATS), dp_ask_horizon=draw(st.none() | FLOATS), insert_best_ask=draw(INTS),
         fill_ratio_horizon=draw(st.none() | FLOATS),
     )
@@ -178,8 +187,8 @@ def test_lifecycles_round_trip(records):
 @ROUND_TRIP
 @given(records=st.lists(lifecycles(), max_size=8), data=st.data())
 def test_matrix_round_trip(records, data):
-    y = np.array([data.draw(FLOATS) for _ in records])
-    w = np.array([data.draw(FLOATS) for _ in records])
+    y = np.array([data.draw(st.sampled_from([0.0, 1.0])) for _ in records])
+    w = np.array([data.draw(NON_NEGATIVE) for _ in records])
     with tempfile.TemporaryDirectory() as d:
         _matrix_round_trip(records, y, w, Path(d) / "matrix.csv")
 
@@ -221,22 +230,37 @@ def test_only_aggressiveness_may_be_empty(tmp_path):
 #: reader, the column whose removal is tried, and a column of each cell type the table has
 READERS = {
     "messages": (lambda p: list(read_messages(p)), "side",
-                 {"int": "price_ticks", "float": "size", "enum": "kind", "optional float": "exec_size"}),
+                 {"int": "price_ticks", "float": "size", "enum": "kind", "optional float": "exec_size",
+                  "non-negative": "size"}),
     "truth": (read_truth, "pw_fill", {"int": "delta", "float": "lambda_exec"}),
     "lifecycles": (lio.read_lifecycles, "insert_ts_ns", {"int": "insert_ts_ns", "float": "outcome_time_s",
-                   "enum": "side", "bool": "partial_window", "optional float": "dp_ask_horizon"}),
+                   "enum": "side", "bool": "partial_window", "optional float": "dp_ask_horizon",
+                   "positive": "size"}),
     "matrix": (lio.read_matrix, "delta", {"int": "insert_ts_ns", "float": "delta", "enum": "outcome",
-               "optional float": "dp_ask_horizon"}),
+               "optional float": "dp_ask_horizon", "positive": "outcome_time_s", "non-negative": "weight",
+               "0-or-1": "label"}),
+}
+SCHEMAS = {
+    "messages": MESSAGE_FIELDS, "truth": TRUTH_FIELDS, "lifecycles": lio.LIFECYCLE_FIELDS, "matrix": lio.MATRIX_FIELDS,
 }
 BAD_CELLS = {"int": "1.5", "float": "b", "enum": "abc", "bool": "2", "optional float": "x"}
 #: cells ``float`` parses that a number column refuses
 NON_FINITE = ("nan", "inf", "-inf")
+#: each column domain: what its error says a cell must be, finite cells it refuses and a zero cell it keeps
+DOMAINS = {
+    "positive": ("a positive finite number", ("-1.0", "0.0"), ()),
+    "non-negative": ("a non-negative finite number", ("-1.0",), ("0.0",)),
+    "0-or-1": ("0 or 1", ("-1.0", "2.0"), ("0.0",)),
+}
 CASES = [
     (artifact, case)
     for artifact, (_, _, typed) in READERS.items()
     for case in [
-        "missing column", *(f"bad {kind}" for kind in typed), "short row", "long row", "empty file",
+        "missing column", *(f"bad {kind}" for kind in typed if kind in BAD_CELLS),
+        "short row", "long row", "empty file",
         *(f"{cell} {kind}" for kind in ("float", "optional float") if kind in typed for cell in NON_FINITE),
+        *(f"{cell} {domain}" for domain, (_, refused, kept) in DOMAINS.items() if domain in typed
+          for cell in refused + kept),
     ]
 ]
 
@@ -267,7 +291,7 @@ def _malformed(source: Path, out: Path, case: str, removed: str, typed: dict) ->
     elif case.startswith("bad "):
         column, cell = typed[case[4:]], BAD_CELLS[case[4:]]
         rows[1][header.index(column)] = cell
-    elif case.split(" ", 1)[0] in NON_FINITE:
+    elif case.split(" ", 1)[0] in NON_FINITE or case.split(" ", 1)[1] in DOMAINS:
         cell, kind = case.split(" ", 1)
         column = typed[kind]
         rows[1][header.index(column)] = cell
@@ -290,14 +314,18 @@ def test_malformed_table_names_file_line_and_column(artifacts, tmp_path, artifac
     read, removed, typed = READERS[artifact]
     path = tmp_path / f"{artifact}.csv"
     line, column, cell = _malformed(artifacts / f"{artifact}.csv", path, case, removed, typed)
+    expects, _, kept = DOMAINS.get(case.split(" ", 1)[-1], (SCHEMAS[artifact][column or removed].expects, (), ()))
+    if cell in kept:
+        read(path)  # a zero weight, label or message size is in its domain
+        return
     with pytest.raises(ArtifactInvalid) as err:
         read(path)
     message = str(err.value)
     assert message.startswith(f"{path}:{line}: ") and repr(column) in message
     if cell is not None:
         assert repr(cell) in message
-    if cell in NON_FINITE:
-        assert message.endswith(f"column {column!r} is {cell!r}, not a finite number" + " or empty" * ("optional" in case))
+    if cell in NON_FINITE or case.endswith(tuple(DOMAINS)):
+        assert message.endswith(f"column {column!r} is {cell!r}, not {expects}")
 
 
 @pytest.mark.parametrize("artifact", READERS)

@@ -1,5 +1,6 @@
 import copy
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,9 +10,12 @@ from hypothesis import strategies as st
 
 from lobkit.features import FeatureVector
 from lobkit.messages import Side
+from lobkit import survival
+from lobkit.fill_model import censoring_survival
 from lobkit.replay import OrderLifecycle, Outcome
 from lobkit.survival import (
     CAUSE_CANCELLATION,
+    CAUSE_CENSORED,
     CAUSE_EXECUTION,
     EmptyInput,
     Observation,
@@ -25,8 +29,8 @@ from lobkit.survival import (
 )
 
 
-def obs(*triples):
-    return [Observation(t, c, w) for t, c, w in triples]
+def obs(*pairs):
+    return [Observation(t, c) for t, c in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -46,10 +50,8 @@ def _reference_step(times, start, values, t):
 def curve_queries(draw):
     """Observations on a coarse grid (so times tie), and query times at,
     between, before and after the event times, as a scalar or an array."""
-    triples = draw(st.lists(
-        st.tuples(st.integers(1, 12), st.integers(0, 2), st.sampled_from([0.5, 1.0, 2.0])), min_size=1, max_size=25,
-    ))
-    observations = obs(*((k / 4.0, cause, w) for k, cause, w in triples))
+    pairs = draw(st.lists(st.tuples(st.integers(1, 12), st.integers(0, 2)), min_size=1, max_size=25))
+    observations = obs(*((k / 4.0, cause) for k, cause in pairs))
     times = sorted({o.time for o in observations})
     candidates = [0.1, *times, *((a + b) / 2.0 for a, b in zip(times, times[1:])), times[-1] + 1.0]
     queries = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=8))
@@ -81,7 +83,7 @@ def test_every_curve_lookup_equals_the_reference_step(case):
 
 
 def test_km_all_censored_is_flat_one():
-    curve = kaplan_meier(obs((1.0, 0, 1), (2.0, 0, 1)))
+    curve = kaplan_meier(obs((1.0, 0), (2.0, 0)))
     assert curve.at(10.0) == 1.0
 
 
@@ -95,13 +97,13 @@ def test_km_uncensored_equals_empirical_survivor():
 
 
 def test_km_hand_product_limit_with_censoring():
-    curve = kaplan_meier(obs((1.0, 1, 1), (2.0, 0, 1), (3.0, 1, 1)))
+    curve = kaplan_meier(obs((1.0, 1), (2.0, 0), (3.0, 1)))
     assert curve.at(1.0 + 1e-9) == pytest.approx(2 / 3)
     assert curve.at(3.0 + 1e-9) == pytest.approx(0.0)
 
 
 def test_km_risk_set_recursion():
-    curve = kaplan_meier(obs((1.0, 1, 1), (1.0, 0, 1), (2.0, 2, 1), (3.0, 0, 1)))
+    curve = kaplan_meier(obs((1.0, 1), (1.0, 0), (2.0, 2), (3.0, 0)))
     for k in range(len(curve.times) - 1):
         assert curve.at_risk[k + 1] == pytest.approx(
             curve.at_risk[k] - curve.deaths[k] - curve.censored[k]
@@ -125,13 +127,68 @@ def test_km_order_invariance():
         np.testing.assert_allclose(curve.values, reference.values, rtol=0, atol=0)
 
 
-def test_km_constant_weights_match_unweighted():
-    rng = np.random.default_rng(11)
-    times = rng.exponential(1, 60)
-    causes = rng.integers(0, 3, 60)
-    plain = kaplan_meier([Observation(float(t), int(c)) for t, c in zip(times, causes)])
-    scaled = kaplan_meier([Observation(float(t), int(c), 3.7) for t, c in zip(times, causes)])
-    np.testing.assert_allclose(scaled.values, plain.values, atol=1e-12)
+def _weighted_tabulate(obs, weights):
+    """The tabulation the curves were built on while an observation carried a
+    weight: stable-sorted weighted ``bincount`` sums per unique time."""
+    times = np.array([o.time for o in obs])
+    causes = np.array([o.cause for o in obs])
+    weights = np.asarray(weights, dtype=float)
+    order = np.argsort(times, kind="stable")
+    times, causes, weights = times[order], causes[order], weights[order]
+    uniq, inverse = np.unique(times, return_inverse=True)
+    k = len(uniq)
+    w1 = np.bincount(inverse, weights=weights * (causes == CAUSE_EXECUTION), minlength=k)
+    w2 = np.bincount(inverse, weights=weights * (causes == CAUSE_CANCELLATION), minlength=k)
+    wc = np.bincount(inverse, weights=weights * (causes == CAUSE_CENSORED), minlength=k)
+    total = w1 + w2 + wc
+    n = np.concatenate(([weights.sum()], weights.sum() - np.cumsum(total)[:-1]))
+    return uniq, n, w1, w2, wc
+
+
+def _unit_weight_tabulate(obs):
+    uniq, n, w1, w2, wc = _weighted_tabulate(obs, np.ones(len(obs)))
+    return uniq, n, {CAUSE_EXECUTION: w1, CAUSE_CANCELLATION: w2, CAUSE_CENSORED: wc}
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _curve_bits(observations):
+    """Every array the curves built from ``observations`` hold, as dtype, shape and bytes."""
+    out = []
+    for curve in (
+        kaplan_meier(observations),
+        post_and_wait_fill(observations),
+        censoring_survival(observations),
+    ):
+        out += [_bits(a) for a in (curve.times, curve.values, curve.at_risk, curve.deaths, curve.censored)]
+    aj = aalen_johansen(observations)
+    out += [_bits(aj.times), _bits(aj.survival), _bits(aj.at_risk), _bits(aj.censored), aj.skipped_terms]
+    for cause in (CAUSE_EXECUTION, CAUSE_CANCELLATION):
+        out += [_bits(aj.cif[cause]), _bits(aj.deaths[cause]), _bits(gray_variance(aj, cause))]
+    return out
+
+
+# every tie pattern of three causes on a six-point grid
+TIED_OBSERVATIONS = st.lists(st.tuples(st.integers(1, 6), st.integers(0, 2)), min_size=3, max_size=40).filter(
+    lambda pairs: {c for _, c in pairs} == {0, 1, 2}
+).map(lambda pairs: obs(*((k / 4.0, cause) for k, cause in pairs)))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(observations=TIED_OBSERVATIONS)
+def test_count_tabulation_equals_the_weighted_one_at_unit_weights(observations):
+    uniq, n, counts = survival._tabulate(observations)
+    reference = _unit_weight_tabulate(observations)
+    assert [_bits(uniq), _bits(n)] == [_bits(reference[0]), _bits(reference[1])]
+    assert list(counts) == list(reference[2])
+    assert [_bits(c) for c in counts.values()] == [_bits(c) for c in reference[2].values()]
+    counted = _curve_bits(observations)
+    with mock.patch.object(survival, "_tabulate", _unit_weight_tabulate):
+        weighted = _curve_bits(observations)
+    assert counted == weighted
 
 
 def test_km_exponential_consistency_small():
@@ -154,7 +211,7 @@ def test_km_exponential_consistency_small():
 
 
 def test_aj_single_cause_degenerates_to_km():
-    observations = obs((1.0, 1, 1), (2.0, 1, 1), (2.5, 0, 1), (3.0, 1, 1))
+    observations = obs((1.0, 1), (2.0, 1), (2.5, 0), (3.0, 1))
     curve = aalen_johansen(observations)
     km = kaplan_meier(observations)
     np.testing.assert_allclose(curve.cif[CAUSE_EXECUTION], 1.0 - km.values, atol=1e-12)
@@ -162,7 +219,7 @@ def test_aj_single_cause_degenerates_to_km():
 
 
 def test_aj_hand_computation_and_identity():
-    curve = aalen_johansen(obs((1.0, 1, 1), (2.0, 2, 1), (3.0, 1, 1)))
+    curve = aalen_johansen(obs((1.0, 1), (2.0, 2), (3.0, 1)))
     assert curve.incidence_at(CAUSE_EXECUTION, 99.0) == pytest.approx(2 / 3)
     assert curve.incidence_at(CAUSE_CANCELLATION, 99.0) == pytest.approx(1 / 3)
     total = curve.cif[CAUSE_EXECUTION] + curve.cif[CAUSE_CANCELLATION] + curve.survival
@@ -170,7 +227,7 @@ def test_aj_hand_computation_and_identity():
 
 
 def test_aj_all_censored_zero_incidence():
-    curve = aalen_johansen(obs((1.0, 0, 1), (2.0, 0, 1)))
+    curve = aalen_johansen(obs((1.0, 0), (2.0, 0)))
     assert curve.incidence_at(CAUSE_EXECUTION, 10.0) == 0.0
     assert curve.incidence_at(CAUSE_CANCELLATION, 10.0) == 0.0
 
@@ -217,7 +274,7 @@ def _gray_oracle(table, cause_key, horizon_index):
 
 def _toy_curve():
     # 3 deaths (cause1@1, cause2@3, cause1@4) and one censor at 2
-    return aalen_johansen(obs((1.0, 1, 1), (2.0, 0, 1), (3.0, 2, 1), (4.0, 1, 1)))
+    return aalen_johansen(obs((1.0, 1), (2.0, 0), (3.0, 2), (4.0, 1)))
 
 
 def test_gray_variance_matches_independent_summation():
@@ -256,7 +313,7 @@ def test_gray_variance_leaves_the_curve_as_it_was():
 
 
 def test_gray_variance_no_deaths_is_zero():
-    curve = aalen_johansen(obs((1.0, 0, 1), (2.0, 0, 1), (3.0, 0, 1)))
+    curve = aalen_johansen(obs((1.0, 0), (2.0, 0), (3.0, 0)))
     assert np.all(gray_variance(curve, CAUSE_EXECUTION) == 0.0)
 
 
@@ -372,14 +429,14 @@ def test_loglog_against_scipy_quantile(f, var, alpha):
 
 
 def test_post_and_wait_no_cancellations_matches_all_cause():
-    observations = obs((0.5, 1, 1), (1.5, 1, 1), (2.0, 0, 1))
+    observations = obs((0.5, 1), (1.5, 1), (2.0, 0))
     pw = post_and_wait_fill(observations)
     km = kaplan_meier(observations)
     np.testing.assert_allclose(pw.values, km.values, atol=1e-12)
 
 
 def test_post_and_wait_all_cancelled_zero_fill():
-    observations = obs((0.2, 2, 1), (0.4, 2, 1), (0.6, 2, 1))
+    observations = obs((0.2, 2), (0.4, 2), (0.6, 2))
     pw = post_and_wait_fill(observations)
     assert fill_probability_at(pw, 1.0) == 0.0
     # shrinking risk set: censored counts recorded at each time
@@ -388,7 +445,7 @@ def test_post_and_wait_all_cancelled_zero_fill():
 
 def test_post_and_wait_hand_product_limit():
     # exec@0.3 (n=5), cancel@0.5, exec@0.8 (n=3), censor@0.9, exec@1.2 (n=1)
-    observations = obs((0.3, 1, 1), (0.5, 2, 1), (0.8, 1, 1), (0.9, 0, 1), (1.2, 1, 1))
+    observations = obs((0.3, 1), (0.5, 2), (0.8, 1), (0.9, 0), (1.2, 1))
     pw = post_and_wait_fill(observations)
     # hand product-limit with cancellation treated as censoring:
     # S(1.0) = (1 - 1/5)(1 - 1/3) = 8/15
