@@ -24,12 +24,10 @@ from .placement import (
     _COLUMN,
     FeePolicy,
     ToyModel,
-    _check_cleanup_costs,
-    _check_fill_probabilities,
     _check_quotes,
-    _unchecked_saved_cost,
     fit_toy_model,
     saved_cost,  # noqa: F401  -- the scalar rule scored here in array form; benchmarks/workloads.py traces this name
+    saved_costs,
 )
 from .replay import OrderLifecycle, Outcome
 from .survival import Observation, fill_probability_at, post_and_wait_fill
@@ -221,16 +219,16 @@ def _metrics(pred: np.ndarray, truth: np.ndarray, positive: int) -> ActionMetric
     return ActionMetrics(precision, recall, f, tp, fp, fn)
 
 
-def check_disjoint(trained_span: tuple[int, int] | None, records: Sequence[OrderLifecycle]) -> None:
-    """Raise ``PeriodOverlap`` when a training span intersects the records' insertion times."""
-    if trained_span is not None and records:
-        times = [r.insert_ts for r in records]
-        t_lo, t_hi = min(times), max(times)
-        lo, hi = trained_span
-        if t_lo <= hi and lo <= t_hi:
-            raise PeriodOverlap(
-                f"training span [{lo}, {hi}] intersects scored records [{t_lo}, {t_hi}]"
-            )
+def check_disjoint(trained_spans: Sequence[tuple[int, int] | None], records: Sequence[OrderLifecycle]) -> None:
+    """Raise ``PeriodOverlap`` when a training span (``None`` skipped)
+    intersects the records' insertion times."""
+    if not records:
+        return
+    times = [r.insert_ts for r in records]
+    t_lo, t_hi = min(times), max(times)
+    for span in trained_spans:
+        if span is not None and t_lo <= span[1] and span[0] <= t_hi:
+            raise PeriodOverlap(f"training span [{span[0]}, {span[1]}] intersects scored records [{t_lo}, {t_hi}]")
 
 
 def _record_quotes(
@@ -266,20 +264,16 @@ def record_saved_costs(
 
     Each model component scores all records in one call; each spec's costs are
     one array expression of the scalar ``saved_cost``'s arithmetic, so every
-    value is ``==`` to its call on the same prediction.  A fill probability
-    outside [0, 1] or a clean-up cost that is not finite raises ``ValueError``,
-    as in ``optimal_distance``.
+    value is ``==`` to its call on the same prediction.  ``saved_costs``
+    refuses a fill probability outside [0, 1] or a clean-up cost that is not
+    finite, as in ``optimal_distance``.
     """
     X = feature_matrix(rec.features for rec in records)
     fills = {kind: models.fill_probabilities(kind, X) for kind in dict.fromkeys(spec.fill for spec in specs)}
     cleanups = {kind: models.cleanup_costs(kind, X) for kind in dict.fromkeys(spec.cleanup for spec in specs)}
     best_bid, best_ask, delta = _record_quotes(records, X, tick_size)
-    for f in fills.values():
-        _check_fill_probabilities(f)
-    for v in cleanups.values():
-        _check_cleanup_costs(v)
     return {
-        spec.id: _unchecked_saved_cost(best_bid, best_ask, tick_size, delta, fees, fills[spec.fill], cleanups[spec.cleanup])
+        spec.id: saved_costs(best_bid, best_ask, tick_size, delta, fees, fills[spec.fill], cleanups[spec.cleanup])
         for spec in specs
     }
 
@@ -295,10 +289,12 @@ def run_backtest(
     """Score each spec's limit/market call against the realized labels.
 
     The quotes behind each decision are rebuilt from the record's own
-    insertion state (see ``record_saved_costs``); a training span overlapping
-    the scored records raises.
+    insertion state (see ``record_saved_costs``).  The span of the router's
+    training rows and each network's own ``trained_span`` must not overlap
+    the scored records.
     """
-    check_disjoint(models.trained_span, records)
+    parts = (models.fill, models.cleanup)
+    check_disjoint([models.trained_span, *(part.trained_span for part in parts if part is not None)], records)
     labels: list[int] = []
     used: list[OrderLifecycle] = []
     ties = 0

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import FEATURE_COLUMNS, feature_matrix
+from .features import feature_matrix
 from .fill_model import HIDDEN_LAYERS, NetModel
 from .mlp import MLP, TrainConfig, train_mlp
 from .replay import OrderLifecycle
@@ -133,7 +133,6 @@ def train_cleanup_model(
     X: np.ndarray,
     targets: np.ndarray,
     cfg: TrainConfig,
-    columns: Sequence[str] = FEATURE_COLUMNS,
     horizon: float = 1.0,
     trained_span: tuple[int, int] | None = None,
 ) -> CleanupModel:
@@ -147,7 +146,6 @@ def train_cleanup_model(
     report = train_mlp(mlp, X, targets, np.ones(len(targets)), cfg)
     return CleanupModel(
         mlp=mlp,
-        columns=tuple(columns),
         horizon=horizon,
         winsor_bounds=bounds,
         trained_span=trained_span,

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import sys
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -26,7 +27,6 @@ from .backtest import (
     MODEL_II,
     MODEL_III,
     EligibilityConfig,
-    check_disjoint,
     constant_cleanup,
     fit_router_models,
     matrix_columns,
@@ -37,7 +37,7 @@ from .cleanup import CleanupModel, bucket_estimate, cleanup_rows, train_cleanup_
 from .features import FEATURE_COLUMNS, feature_matrix
 from .fill_model import FillModel, build_training_matrix, stratified_censoring_survival, train_fill_model
 from .messages import InstrumentConfig, read_messages, write_messages
-from .mlp import TrainConfig, held_out_rows, permutation_importance
+from .mlp import NonFiniteLoss, SingleClass, TrainConfig, held_out_rows, permutation_importance
 from .placement import (
     FEE_TABLE,
     ZERO_FEES,
@@ -167,6 +167,15 @@ def _require(path: str, what: str) -> Path:
     return p
 
 
+@contextmanager
+def _naming(path: str, errors: type[Exception] | tuple[type[Exception], ...]):
+    """Re-raise ``errors`` from the block with ``path``, the input at fault, before the message."""
+    try:
+        yield
+    except errors as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def _feature_column(name: str, option: str) -> int:
     """Index of ``name`` in the model row; ``option`` names the flag in the error."""
     if name not in FEATURE_COLUMNS:
@@ -266,14 +275,11 @@ def _load_records(args, cfg: PipelineConfig):
 
 def cmd_features(args, cfg: PipelineConfig) -> int:
     records = _load_records(args, cfg)
-    X, y, w, kept, ipcw = build_training_matrix(
-        records,
-        cfg.horizon,
-        stratified_censoring_survival(records),
-        floor=cfg.ipcw_floor,
-    )
+    censoring = stratified_censoring_survival(records)
+    X, y, w, kept, ipcw = build_training_matrix(records, cfg.horizon, censoring, floor=cfg.ipcw_floor)
     lio.write_matrix(args.out, kept, y, w)
-    _write_json(None, {"rows": len(kept), "dropped_partial": len(records) - len(kept), "weight_floored": ipcw.floored})
+    counts = {"rows": len(kept), "dropped_partial": len(records) - len(kept), "weight_floored": ipcw.floored}
+    _write_json(None, {**counts, "pooled_strata": len(censoring.pooled_strata)})
     return 0
 
 
@@ -319,7 +325,8 @@ def cmd_train_fill(args, cfg: PipelineConfig) -> int:
     n_val = held_out_rows(len(X), cfg.val_fraction)
     if args.importance and n_val == 0:
         raise ConfigInvalid(f"--importance needs held-out rows, but val_fraction {cfg.val_fraction} holds out none of {len(X)}")
-    model = train_fill_model(X, y, w, cfg.train_config(args.seed), horizon=cfg.horizon, trained_span=span)
+    with _naming(args.matrix, (NonFiniteLoss, SingleClass)):
+        model = train_fill_model(X, y, w, cfg.train_config(args.seed), horizon=cfg.horizon, trained_span=span)
     model.save(args.out)
     report = dataclasses.asdict(model.report)
     if args.importance:
@@ -341,9 +348,8 @@ def cmd_train_cleanup(args, cfg: PipelineConfig) -> int:
     Xc = X[rows]
     targets = np.array([ask_moves[i] for i in rows])
     span = (min(insert_ts[i] for i in rows), max(insert_ts[i] for i in rows))
-    model = train_cleanup_model(
-        Xc, targets, cfg.train_config(args.seed), horizon=cfg.horizon, trained_span=span
-    )
+    with _naming(args.matrix, NonFiniteLoss):
+        model = train_cleanup_model(Xc, targets, cfg.train_config(args.seed), horizon=cfg.horizon, trained_span=span)
     model.save(args.out)
     if args.bucket_curve_out:
         values = Xc[:, bucket_col]
@@ -373,13 +379,11 @@ def cmd_train_cleanup(args, cfg: PipelineConfig) -> int:
 
 def _load_models(args, cfg: PipelineConfig) -> tuple:
     """The ``--fill-model`` and ``--cleanup-model`` files, each checked
-    against the feature columns and the configured horizon."""
+    against the configured horizon."""
     models = []
     for model_type in (FillModel, CleanupModel):
         path = getattr(args, f"{model_type.kind}_model")
         model = model_type.load(_require(path, f"{model_type.kind} model"))
-        if model.columns != FEATURE_COLUMNS:
-            raise ArtifactInvalid(f"{path}: field 'columns' is {list(model.columns)}, not {list(FEATURE_COLUMNS)}")
         if model.horizon != cfg.horizon:
             raise ArtifactInvalid(f"{path}: field 'horizon' is {model.horizon!r}, but the configured horizon is {cfg.horizon}")
         models.append(model)
@@ -434,16 +438,9 @@ def cmd_backtest(args, cfg: PipelineConfig) -> int:
         ats,
         EligibilityConfig(max_size_ats_multiple=cfg.max_size_ats_multiple, max_distance=cfg.max_distance),
     )
-    for model in (fill, cleanup):  # the model files' own spans, not only the training matrix's
-        check_disjoint(model.trained_span, eligible)
-    report = run_backtest(
-        eligible,
-        [MODEL_I, MODEL_II, MODEL_III],
-        models,
-        _fees(cfg),
-        cfg.horizon,
-        cfg.tick_size,
-    )
+    # a scored record breaking a rule of run_backtest's (an ask move, whole-tick quotes, a span apart) raises a ValueError
+    with _naming(args.lifecycles, ValueError):
+        report = run_backtest(eligible, [MODEL_I, MODEL_II, MODEL_III], models, _fees(cfg), cfg.horizon, cfg.tick_size)
     payload = {
         "evaluated": report.evaluated,
         "excluded_ties": report.excluded_ties,

@@ -182,6 +182,8 @@ def best_imbalance(q_bid: float, q_ask: float) -> float:
     total = q_bid + q_ask
     if total <= 0:
         raise EmptySideError("both best queues empty")
+    if not total < math.inf:  # inf, or nan
+        raise OverflowError(f"best queues {q_bid!r} and {q_ask!r} sum past the float range")
     return (q_bid - q_ask) / total
 
 

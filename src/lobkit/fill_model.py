@@ -10,7 +10,6 @@ drop out of the loss.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from numbers import Integral
 from pathlib import Path
@@ -27,6 +26,7 @@ from .survival import (
     CAUSE_EXECUTION,
     Observation,
     SurvivalCurve,
+    edge_bucket,
     kaplan_meier,
     quantile_edges,
 )
@@ -57,28 +57,26 @@ def censoring_survival(obs: Sequence[Observation]) -> SurvivalCurve:
     )
 
 
-def _bucket(edges: Sequence[float], x: float) -> int:
-    """The bucket of the last edge at or below ``x``, clamped to the first and last bucket; NaN falls in the last."""
-    return min(max(bisect_right(edges, x) - 1, 0), len(edges) - 2)
-
-
 @dataclass
 class CensoringModel:
     """Censoring survival stratified by placement regime.
 
     Passive orders stratify on distance buckets, at-best orders form one
     stratum, aggressive orders stratify on aggressiveness-index buckets.
+    ``pooled_strata`` names the strata fitted too thin for a curve of their
+    own, which use the pooled one.
     """
 
     delta_edges: list[float]
     curves: dict[str, SurvivalCurve] = field(default_factory=dict)
+    pooled_strata: list[str] = field(default_factory=list)
 
     def stratum_of(self, delta: float, omega: float | None) -> str:
         if delta == 0:
             return "at_best"
         if delta < 0:
-            return f"aggressive_{_bucket(OMEGA_EDGES, 0.0 if omega is None else omega)}"
-        return f"passive_{_bucket(self.delta_edges, delta)}"
+            return f"aggressive_{edge_bucket(OMEGA_EDGES, 0.0 if omega is None else omega)}"
+        return f"passive_{edge_bucket(self.delta_edges, delta)}"
 
     def curve_of(self, key: str) -> SurvivalCurve:
         """A stratum's curve, or the pooled one for a stratum unseen when fitting."""
@@ -110,9 +108,11 @@ def stratified_censoring_survival(records: Sequence[OrderLifecycle], min_count: 
     pooled_curve = censoring_survival(pooled)
     for key, obs in groups.items():
         # thin strata fall back to the pooled curve rather than a noisy one
-        model.curves[key] = (
-            censoring_survival(obs) if len(obs) >= min_count else pooled_curve
-        )
+        if len(obs) >= min_count:
+            model.curves[key] = censoring_survival(obs)
+        else:
+            model.curves[key] = pooled_curve
+            model.pooled_strata.append(key)
     model.curves.setdefault("pooled", pooled_curve)
     return model
 
@@ -145,11 +145,10 @@ def ipcw_weights(
     strata: dict[str, list[int]] = {}
     filled = Outcome.FILLED
     for i, rec in enumerate(records):
-        executed_at = rec.outcome_time if rec.outcome is filled else None
-        if executed_at is not None and executed_at <= horizon:
+        if rec.outcome is filled and rec.outcome_time <= horizon:
             labels[i] = 1.0
-            t_eval[i] = executed_at
-        elif rec.outcome_time > horizon or (executed_at is not None):
+            t_eval[i] = rec.outcome_time
+        elif rec.outcome_time > horizon:
             # survived through the horizon (death or censoring came later)
             t_eval[i] = horizon
         else:
@@ -188,21 +187,20 @@ HIDDEN_LAYERS = (32, 32, 32)
 
 @dataclass
 class NetModel:
-    """One network over the feature columns, saved as a model file: a JSON
-    object of its ``kind``, the network under ``mlp`` and every other field
-    but ``report``."""
+    """One network over ``FEATURE_COLUMNS``, saved as a model file: a JSON
+    object of its ``kind``, the network under ``mlp``, the ``columns`` it
+    reads and every other field but ``report``."""
 
     kind: ClassVar[str]
     mlp: MLP
-    columns: tuple[str, ...] = FEATURE_COLUMNS
     horizon: float = 1.0
     trained_span: tuple[int, int] | None = None  # (first_ts, last_ts) of training rows
     report: TrainingReport | None = None
 
     def __post_init__(self) -> None:
         inputs = self.mlp.layer_sizes[0]
-        if not isinstance(self.columns, tuple) or len(self.columns) != inputs:
-            raise ValueError(f"field 'columns' is {self.columns!r}, not {inputs} names, one per network input")
+        if inputs != len(FEATURE_COLUMNS):
+            raise ValueError(f"field 'mlp' has {inputs} inputs, not one per feature column ({len(FEATURE_COLUMNS)})")
         if not (finite_number(self.horizon) and self.horizon > 0):
             raise ValueError(f"field 'horizon' is {self.horizon!r}, not a positive finite number")
         span = self.trained_span
@@ -211,7 +209,7 @@ class NetModel:
             raise ValueError(f"field 'trained_span' is {span!r}, not null or two integers")
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """One output per row of the (n, len(columns)) matrix ``X``."""
+        """One output per row of the (n, len(FEATURE_COLUMNS)) matrix ``X``."""
         return self.mlp.predict(X)
 
     @classmethod
@@ -221,7 +219,8 @@ class NetModel:
 
     def envelope(self) -> dict:
         """The model file's JSON object."""
-        return {"kind": self.kind, "mlp": self.mlp.to_dict(), **{name: getattr(self, name) for name in self.file_fields()}}
+        fields = {name: getattr(self, name) for name in self.file_fields()}
+        return {"kind": self.kind, "mlp": self.mlp.to_dict(), "columns": FEATURE_COLUMNS, **fields}
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.envelope(), sort_keys=True))
@@ -229,16 +228,19 @@ class NetModel:
     @classmethod
     def load(cls, path: str | Path):
         """The model ``save`` wrote to ``path``.  A file of another kind, or one
-        missing a field or holding one the model rejects, raises
-        ``ArtifactInvalid`` naming the file and the field."""
+        missing a field, reading other columns than ``FEATURE_COLUMNS`` or
+        holding a field the model rejects, raises ``ArtifactInvalid`` naming
+        the file and the field."""
         path = Path(path)
         blob = json_object(path, "model file")
         if blob.get("kind") != cls.kind:
             raise ArtifactInvalid(f"{path}: field 'kind' is {blob.get('kind')!r}, not {cls.kind!r}")
         names = cls.file_fields()
-        for name in ["mlp", *names]:
+        for name in ["mlp", "columns", *names]:
             if name not in blob:
                 raise ArtifactInvalid(f"{path}: required field {name!r} is missing")
+        if blob["columns"] != list(FEATURE_COLUMNS):
+            raise ArtifactInvalid(f"{path}: field 'columns' is {blob['columns']!r}, not {list(FEATURE_COLUMNS)}")
         try:
             mlp = MLP.from_dict(blob["mlp"])
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
@@ -260,7 +262,6 @@ def train_fill_model(
     y: np.ndarray,
     w: np.ndarray,
     cfg: TrainConfig,
-    columns: Sequence[str] = FEATURE_COLUMNS,
     horizon: float = 1.0,
     trained_span: tuple[int, int] | None = None,
 ) -> FillModel:
@@ -273,5 +274,5 @@ def train_fill_model(
         raise SingleClass("training needs both classes among positive-weight samples")
     mlp = MLP([X.shape[1], *HIDDEN_LAYERS, 1], output="sigmoid", seed=cfg.seed)
     report = train_mlp(mlp, X, y, w, cfg)
-    return FillModel(mlp=mlp, columns=tuple(columns), horizon=horizon, trained_span=trained_span, report=report)
+    return FillModel(mlp=mlp, horizon=horizon, trained_span=trained_span, report=report)
 

@@ -151,8 +151,8 @@ def read_snapshot(path: str | Path) -> MarketSnapshot:
     """Read a ``route --snapshot`` file.
 
     Its fields are ``best_bid``, ``best_ask`` and ``tick_size`` in quote
-    units, and ``features``: null, or an object with a finite number for each
-    feature column of ``lifecycles.csv`` (``aggressiveness`` may be null).
+    units, and ``features``: an object with a finite number for each feature
+    column of ``lifecycles.csv`` (``aggressiveness`` may be null).
     """
     path = Path(path)
     blob = json_object(path, "snapshot")
@@ -168,15 +168,15 @@ def read_snapshot(path: str | Path) -> MarketSnapshot:
         return float(value)
 
     quote = {name: number(blob, name, name) for name in ("best_bid", "best_ask", "tick_size")}
-    feats = blob.get("features")
-    features = None
-    if feats is not None:
-        if not isinstance(feats, dict):
-            raise ArtifactInvalid(f"{path}: field 'features' is {feats!r}, not an object")
-        unknown = sorted(set(feats) - set(_VECTOR_COLUMNS))
-        if unknown:
-            raise ArtifactInvalid(f"{path}: field 'features.{unknown[0]}' is not a feature column")
-        features = FeatureVector(*(number(feats, name, f"features.{name}") for name in _VECTOR_COLUMNS))
+    if "features" not in blob:
+        raise ArtifactInvalid(f"{path}: required field 'features' is missing")
+    feats = blob["features"]
+    if not isinstance(feats, dict):
+        raise ArtifactInvalid(f"{path}: field 'features' is {feats!r}, not an object")
+    unknown = sorted(set(feats) - set(_VECTOR_COLUMNS))
+    if unknown:
+        raise ArtifactInvalid(f"{path}: field 'features.{unknown[0]}' is not a feature column")
+    features = FeatureVector(*(number(feats, name, f"features.{name}") for name in _VECTOR_COLUMNS))
     try:
         return MarketSnapshot(**quote, features=features)
     except ValueError as exc:

@@ -27,6 +27,12 @@ class DimensionMismatch(ValueError):
     pass
 
 
+#: Standardized inputs are clipped to this many standard deviations, and a loaded
+#: network's weights and biases must keep every activation finite on inputs within
+#: it, so a network maps every finite row to a finite output.
+INPUT_LIMIT = 1e6
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, from one exp that never overflows
     e = np.exp(-np.abs(z))
@@ -58,6 +64,8 @@ class MLP:
     def fit_standardization(self, X: np.ndarray) -> None:
         self.mean = X.mean(axis=0)
         std = X.std(axis=0)
+        if not np.isfinite(std).all():  # a mean past the float range makes it nan
+            raise NonFiniteLoss(f"the standard deviation of input {int(np.argmin(np.isfinite(std)))} is not finite")
         self.std = np.where(std > 0, std, 1.0)
 
     def set_standardization(self, mean: np.ndarray, std: np.ndarray) -> None:
@@ -70,7 +78,8 @@ class MLP:
             raise DimensionMismatch(f"expected {self.layer_sizes[0]} features, got {X.shape[1]}")
         Xs = X - self.mean  # a new array: the caller's X is never written
         Xs /= self.std
-        return Xs
+        np.maximum(Xs, -INPUT_LIMIT, out=Xs)
+        return np.minimum(Xs, INPUT_LIMIT, out=Xs)
 
     # -- forward / backward -------------------------------------------------
 
@@ -169,6 +178,12 @@ class MLP:
             raise ValueError("a weight, bias, mean or std is not finite")
         if not (std > 0).all():
             raise ValueError(f"std must be positive, got {std.min()}")
+        bound = INPUT_LIMIT
+        with np.errstate(over="ignore"):
+            for W, b in zip(weights, biases):
+                bound = bound * np.abs(W).sum(axis=0).max() + np.abs(b).max()
+        if not bound < 1e300:  # a margin under the float maximum for rounding
+            raise ValueError(f"weights and biases overflow on inputs within {INPUT_LIMIT:g} standard deviations")
         model = cls(sizes, output=blob["output"])
         model.weights, model.biases = weights, biases
         model.set_standardization(mean, std)
@@ -327,15 +342,13 @@ def permutation_importance(
     X: np.ndarray,
     y: np.ndarray,
     w: np.ndarray,
-    columns: Sequence[str] | None = None,
+    columns: Sequence[str],
     seed: int = 0,
 ) -> list[tuple[str, float]]:
-    """Per-feature loss increase when the feature column is shuffled."""
+    """Per-feature loss increase when the feature column ``columns[j]`` is shuffled."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
-    if columns is None:
-        columns = [f"f{i}" for i in range(X.shape[1])]
     base = model.loss(model.standardize(X), y, w)
     rng = np.random.default_rng(seed)
     scores: list[tuple[str, float]] = []

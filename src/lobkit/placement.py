@@ -22,6 +22,10 @@ class InadmissibleDistance(ValueError):
     pass
 
 
+class InvalidSpread(ValueError):
+    """Quotes whose spread is no positive whole number of ticks."""
+
+
 class NonpositiveDenominator(ValueError):
     pass
 
@@ -90,8 +94,8 @@ class MarketSnapshot:
         if not self.tick_size > 0:
             raise ValueError(f"tick_size must be positive, got {self.tick_size}")
         spread = (self.best_ask - self.best_bid) / self.tick_size
-        if abs(spread - round(spread)) > WHOLE_TICK_TOLERANCE or round(spread) < 1:
-            raise ValueError(f"spread must be a positive whole number of ticks, got {spread}")
+        if not math.isfinite(spread) or abs(spread - round(spread)) > WHOLE_TICK_TOLERANCE or round(spread) < 1:
+            raise InvalidSpread(f"spread must be a positive whole number of ticks, got {spread}")
 
     @property
     def mid(self) -> float:
@@ -165,7 +169,7 @@ def _check_quotes(
     rule over arrays of quotes and distances.
 
     The first entry ``i`` breaking one raises, prefixed with ``name(i)``: no
-    whole spread of at least one tick (NaN included) raises ``ValueError``, a
+    whole spread of at least one tick (NaN included) raises ``InvalidSpread``, a
     distance that is no integer above minus the spread ``InadmissibleDistance``.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -177,22 +181,22 @@ def _check_quotes(
         return
     i = int(np.argmin(admissible))
     if not whole_spread[i]:
-        raise ValueError(f"{name(i)}: spread must be a positive whole number of ticks, got {spread[i]}")
+        raise InvalidSpread(f"{name(i)}: spread must be a positive whole number of ticks, got {spread[i]}")
     raise InadmissibleDistance(f"{name(i)}: delta must be an integer > {-int(whole[i])}, got {delta[i]:g}")
 
 
-def _check_fill_probabilities(f: np.ndarray) -> None:
-    """Raise ``ValueError`` on the first fill probability outside [0, 1], NaN included."""
+def saved_costs(best_bid, best_ask, tick_size: float, delta, fees: FeePolicy, f: np.ndarray, v: np.ndarray):
+    """The saved cost of posting at each ``delta`` with fill probability ``f``
+    and clean-up cost ``v`` (ticks): the checked rule a sweep and a backtest
+    price with.  The first ``f`` outside [0, 1] (NaN included) or ``v`` that
+    is not finite raises ``ValueError``."""
     in_unit = (f >= 0.0) & (f <= 1.0)  # False for NaN
     if not in_unit.all():
         raise ValueError(f"fill probability must be in [0, 1], got {f[~in_unit][0]}")
-
-
-def _check_cleanup_costs(v: np.ndarray) -> None:
-    """Raise ``ValueError`` on the first clean-up cost that is not finite."""
     finite = np.isfinite(v)
     if not finite.all():
         raise ValueError(f"clean-up cost must be finite, got {v[~finite][0]}")
+    return _unchecked_saved_cost(best_bid, best_ask, tick_size, delta, fees, f, v)
 
 
 def saved_cost(
@@ -291,9 +295,7 @@ def optimal_distance(
     X = candidate_matrix(snapshot, quantity, deltas)
     f = np.asarray(fill_model.predict(X), dtype=float)
     v = np.asarray(cleanup_model.predict(X), dtype=float)
-    _check_fill_probabilities(f)
-    _check_cleanup_costs(v)
-    s = _unchecked_saved_cost(snapshot.best_bid, snapshot.best_ask, snapshot.tick_size, deltas, fees, f, v)
+    s = saved_costs(snapshot.best_bid, snapshot.best_ask, snapshot.tick_size, deltas, fees, f, v)
     curve = SweepCurve(deltas, f, v, s)
     best = len(s) - 1 - int(np.argmax(s[::-1]))  # the last maximum: ties go to the largest delta
     best_s = float(s[best])
@@ -392,7 +394,7 @@ def latency_saved_cost(
     fill_probability: float,
     cleanup_ticks: float,
     move_cdf: Callable[[float], float],
-    tail_mean: Callable[[float], float] | float,
+    tail_mean: Callable[[float], float],
     latency: float,
     horizon: float,
 ) -> float:
@@ -410,8 +412,7 @@ def latency_saved_cost(
     p_cross = float(move_cdf(threshold))
     if p_cross == 0.0:
         return s
-    mean_move = tail_mean(threshold) if callable(tail_mean) else float(tail_mean)
-    return (1.0 - p_cross) * s - p_cross * fees.f_minus * snapshot.tick_size * mean_move
+    return (1.0 - p_cross) * s - p_cross * fees.f_minus * snapshot.tick_size * tail_mean(threshold)
 
 
 def point_mass_move(value: float, probability: float) -> tuple[Callable[[float], float], Callable[[float], float]]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -272,6 +273,11 @@ def quantile_edges(values: Sequence[float], n_buckets: int) -> list[float]:
     edges = sorted(set(float(q) for q in qs))
     edges[-1] += 1e-9
     return edges
+
+
+def edge_bucket(edges: Sequence[float], x: float) -> int:
+    """The bucket of the last edge at or below ``x``, clamped to the first and last bucket; NaN falls in the last."""
+    return min(max(bisect_right(edges, x) - 1, 0), len(edges) - 2)
 
 
 def conditional_curves(

@@ -28,6 +28,7 @@ import numpy as np
 
 from .book import BookState
 from .messages import ADD, ASK, BID, CANCEL, EXECUTE, Level3Message, MessageKind, Side
+from .survival import edge_bucket
 from .table import INTEGER, NUMBER, TEXT, read_table, write_table
 
 
@@ -45,8 +46,7 @@ class PiecewiseMultiplier:
             raise ValueError("multipliers must stay positive")
 
     def at(self, x: float) -> float:
-        idx = bisect.bisect_right(self.edges, x) - 1
-        return self.values[min(max(idx, 0), len(self.values) - 1)]
+        return self.values[edge_bucket(self.edges, x)]
 
 
 FLAT = PiecewiseMultiplier((-math.inf, math.inf), (1.0,))
@@ -64,11 +64,6 @@ class RegimeSpec:
     trade_rate: float = 4.0
     taker_buy_fraction: float = 0.5  # trades consuming the ask wall
     spread: int = 4  # wall spread, ticks
-
-    @property
-    def drift(self) -> float:
-        """Expected ask move in ticks per second."""
-        return self.move_rate * (2.0 * self.up_probability - 1.0)
 
 
 @dataclass

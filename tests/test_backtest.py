@@ -208,6 +208,8 @@ def test_exponential_fill_column_overflow_raises_like_the_scalar_rule():
 class _RowOracle:
     """Model stub returning fixed per-row values for a matrix of known length."""
 
+    trained_span = None
+
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
 
@@ -298,6 +300,19 @@ def test_period_overlap_guard():
         run_backtest(records, [MODEL_I], models, FEE_TABLE[9], 1.0, 0.01)
     models.trained_span = (0, 10**8)  # strictly before the records
     run_backtest(records, [MODEL_I], models, FEE_TABLE[9], 1.0, 0.01)
+
+
+@pytest.mark.parametrize("part", ["fill", "cleanup"])
+def test_period_overlap_guard_checks_each_network_span(part):
+    """The router's own span is clear of the records; one network's ``trained_span`` is not."""
+    records = _mixed_records()
+    models = _oracle_models({r.order_id: label_outcome(r, 1.0) for r in records})
+    models.trained_span = (0, 10**8)
+    getattr(models, part).trained_span = (10**8, 2 * 10**9)
+    with pytest.raises(PeriodOverlap, match=r"training span \[100000000, 2000000000\]"):
+        run_backtest(records, [MODEL_III], models, FEE_TABLE[9], 1.0, 0.01)
+    getattr(models, part).trained_span = (0, 10**8)
+    run_backtest(records, [MODEL_III], models, FEE_TABLE[9], 1.0, 0.01)
 
 
 def test_model_spec_components():

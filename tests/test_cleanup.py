@@ -13,9 +13,10 @@ from lobkit.cleanup import (
     train_cleanup_model,
     winsorize,
 )
-from lobkit.features import FeatureVector, feature_matrix
+from lobkit.features import FEATURE_COLUMNS, FeatureVector, feature_matrix
 from lobkit.messages import Side
-from lobkit.mlp import MLP, TrainConfig, gradient_check
+from lobkit.fill_model import HIDDEN_LAYERS
+from lobkit.mlp import MLP, TrainConfig, gradient_check, train_mlp
 from lobkit.replay import OrderLifecycle, Outcome
 from lobkit.table import ArtifactInvalid
 
@@ -181,17 +182,15 @@ def test_sparse_buckets_omitted_and_reported():
 
 
 def test_constant_target_learned_to_tolerance():
-    # full-batch descent settles onto the constant
+    # full-batch descent settles onto the constant: train_cleanup_model's network and
+    # training on five inputs (a CleanupModel itself takes one per feature column)
     rng = np.random.default_rng(4)
     X = rng.normal(size=(400, 5))
     targets = np.full(400, 2.0)
-    model = train_cleanup_model(
-        X,
-        targets,
-        TrainConfig(lr=0.05, batch=512, epochs=2000, seed=5, patience=10**6, val_fraction=0.1),
-        columns=tuple(f"c{i}" for i in range(5)),
-    )
-    preds = model.mlp.predict(X)
+    cfg = TrainConfig(lr=0.05, batch=512, epochs=2000, seed=5, patience=10**6, val_fraction=0.1)
+    mlp = MLP([5, *HIDDEN_LAYERS, 1], output="identity", seed=cfg.seed)
+    train_mlp(mlp, X, winsorize(targets)[0], np.ones(len(targets)), cfg)
+    preds = mlp.predict(X)
     assert np.all(np.abs(preds - 2.0) <= 1e-3)
 
 
@@ -221,11 +220,9 @@ def test_winsorize_clips_extremes():
 
 def test_cleanup_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(9)
-    X = rng.normal(size=(200, 4))
+    X = rng.normal(size=(200, len(FEATURE_COLUMNS)))
     t = X[:, 0] + 0.5
-    model = train_cleanup_model(
-        X, t, TrainConfig(lr=0.02, batch=32, epochs=30, seed=10), columns=("a", "b", "c", "d")
-    )
+    model = train_cleanup_model(X, t, TrainConfig(lr=0.02, batch=32, epochs=30, seed=10))
     path = tmp_path / "cleanup.json"
     model.save(path)
     clone = CleanupModel.load(path)
@@ -236,7 +233,7 @@ def test_cleanup_save_load_round_trip(tmp_path):
 
 @pytest.mark.parametrize("bounds", [[2.0, 1.0], [0.0, float("inf")], [0.0], ["a", "b"], True])
 def test_cleanup_model_load_rejects_bad_winsor_bounds(tmp_path, bounds):
-    model = CleanupModel(MLP([4, 3, 1], output="identity", seed=1), columns=("a", "b", "c", "d"), winsor_bounds=(0.0, 1.0))
+    model = CleanupModel(MLP([len(FEATURE_COLUMNS), 3, 1], output="identity", seed=1), winsor_bounds=(0.0, 1.0))
     path = tmp_path / "cleanup.json"
     path.write_text(json.dumps({**model.envelope(), "winsor_bounds": bounds}))
     with pytest.raises(ArtifactInvalid) as err:
@@ -246,9 +243,9 @@ def test_cleanup_model_load_rejects_bad_winsor_bounds(tmp_path, bounds):
 
 def test_predict_cleanup_deterministic_and_finite():
     rng = np.random.default_rng(11)
-    X = rng.normal(size=(100, 4))
+    X = rng.normal(size=(100, len(FEATURE_COLUMNS)))
     t = X[:, 1] * 3
-    model = train_cleanup_model(X, t, TrainConfig(lr=0.02, batch=32, epochs=20, seed=12), columns=("a", "b", "c", "d"))
+    model = train_cleanup_model(X, t, TrainConfig(lr=0.02, batch=32, epochs=20, seed=12))
     row = X[:1]
     a = model.predict(row)
     b = model.predict(row)

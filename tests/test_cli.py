@@ -1,12 +1,19 @@
+import builtins
+import contextlib
 import csv
 import dataclasses
+import io
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lobkit import io as lio
 from lobkit.cli import load_config, main, ConfigInvalid
 from lobkit.features import FEATURE_COLUMNS, FeatureVector
+from lobkit.fill_model import stratified_censoring_survival
 from lobkit.messages import Side, read_messages, write_messages
 from lobkit.replay import ReplayDiagnostics
 from lobkit.synth import GroundTruthConfig, generate_flow, read_truth
@@ -198,6 +205,18 @@ def test_cleanup_and_backtest_reports_count_what_the_fits_dropped(pipeline):
     assert len(metrics["toy_distances"]) >= 3 and metrics["toy_distances"] == sorted(metrics["toy_distances"])
     assert metrics["toy_thin_buckets"] >= 0
     assert metrics["constant_cleanup_ticks"] == cleanup["constant_baseline"]
+
+
+def test_features_reports_the_strata_on_the_pooled_censoring_curve(pipeline, tmp_path, capsys):
+    """``pooled_strata`` counts the strata ``stratified_censoring_survival`` leaves on the pooled
+    curve; the stream's first 300 lifecycles leave some strata under 50 records."""
+    head = tmp_path / "lifecycles.csv"
+    head.write_text("".join((pipeline / "lifecycles.csv").read_text().splitlines(keepends=True)[:301]))
+    capsys.readouterr()
+    _run(BASE + ["features", "--lifecycles", str(head), "--out", str(tmp_path / "m.csv")])
+    counts = json.loads(capsys.readouterr().out)
+    assert set(counts) == {"rows", "dropped_partial", "weight_floored", "pooled_strata"}
+    assert counts["pooled_strata"] == len(stratified_censoring_survival(lio.read_lifecycles(head)).pooled_strata) > 0
 
 
 def test_replay_diagnostics_report_every_counter(pipeline):
@@ -558,11 +577,21 @@ def _partial_window(blob):
     return "'features.partial_window' is not a feature column"
 
 
+def _no_features(blob):
+    del blob["features"]
+    return "required field 'features' is missing"
+
+
+def _null_features(blob):
+    blob["features"] = None
+    return "field 'features' is None, not an object"
+
+
 @pytest.mark.parametrize(
     "edit",
     [
         _no_volatility, _no_best_bid, _misspelled, _non_numeric, _features_not_an_object,
-        _nan_feature, _huge_integer_price, _zero_tick, _partial_window,
+        _nan_feature, _huge_integer_price, _zero_tick, _partial_window, _no_features, _null_features,
     ],
 )
 def test_malformed_snapshot_names_the_file_and_field(pipeline, tmp_path, capsys, edit):
@@ -615,3 +644,123 @@ def test_malformed_table_fails_with_artifact_invalid(pipeline, tmp_path, capsys,
     assert err["message"].startswith(f"{bad}:{line}: ") and repr(column) in err["message"]
     if value is not None:
         assert repr(value) in err["message"]
+
+
+# ---------------------------------------------------------------------------
+# One mutated cell in an artifact, through every consumer of that artifact
+# ---------------------------------------------------------------------------
+
+_MUTANTS = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "-1": -1, "0": 0, "1e308": 1e308, "": ""}
+_BACKTEST = (
+    "backtest --lifecycles {lifecycles} --truth {d}/truth2.csv --train-matrix {matrix} --fill-model {fill}"
+    " --cleanup-model {d}/cleanup.json --average-trade-size 1.0 --out {tmp}/b.json --decisions-out {tmp}/dec.csv"
+)
+_ROUTE = (
+    "route --snapshot {snapshot} --fill-model {fill} --cleanup-model {d}/cleanup.json --quantity 1.0"
+    " --out {tmp}/r.json --curve-out {tmp}/c.csv --decision-map-out {tmp}/map.csv --surface-out {tmp}/s.csv"
+    " --surface-spread-min 2 --surface-spread-max 4"
+)
+#: Each mutated artifact of the pipeline fixture, the placeholder it fills and the commands that read it.
+_CONSUMERS = {
+    "messages2.csv": ("messages", [
+        "replay --messages {messages} --out {tmp}/l.csv --fill-ratio-out {tmp}/r.csv --diagnostics-out {tmp}/d.json",
+    ]),
+    "lifecycles2.csv": ("lifecycles", [
+        "features --lifecycles {lifecycles} --truth {d}/truth2.csv --out {tmp}/m.csv",
+        "survival --lifecycles {lifecycles} --out {tmp}/c.csv --by delta",
+        "survival --lifecycles {lifecycles} --mode post-and-wait --out {tmp}/pw.csv",
+        _BACKTEST,
+    ]),
+    "matrix.csv": ("matrix", [
+        "train-fill --matrix {matrix} --seed 7 --out {tmp}/f.json --report {tmp}/fr.json --importance",
+        "train-cleanup --matrix {matrix} --seed 7 --out {tmp}/c.json --report {tmp}/cr.json --bucket-curve-out {tmp}/v.csv",
+        _BACKTEST,
+    ]),
+    "snap.json": ("snapshot", [_ROUTE]),
+    "fill.json": ("fill", [_ROUTE, _BACKTEST]),
+}
+
+
+def _json_leaves(node, at=()):
+    """The key and index paths of every scalar in a JSON value."""
+    if isinstance(node, dict):
+        return [leaf for key in sorted(node) for leaf in _json_leaves(node[key], (*at, key))]
+    if isinstance(node, list):
+        return [leaf for i, item in enumerate(node) for leaf in _json_leaves(item, (*at, i))]
+    return [at]
+
+
+def _all_finite(node) -> bool:
+    if isinstance(node, dict):
+        return all(map(_all_finite, node.values()))
+    if isinstance(node, list):
+        return all(map(_all_finite, node))
+    return not isinstance(node, float) or math.isfinite(node)
+
+
+def _outputs_finite(out_dir, stdout: str) -> bool:
+    """Every number in the command's printed JSON and in the JSON and CSV files it wrote is finite."""
+    texts = [stdout] if stdout.strip() else []
+    for path in out_dir.iterdir():
+        if path.suffix == ".json":
+            texts.append(path.read_text())
+        elif path.suffix == ".csv":
+            with open(path, newline="") as fh:
+                header, *rows = list(csv.reader(fh))
+            for row in rows:
+                for name, cell in zip(header, row):
+                    if name == "order_id":  # the one free-text column, which may read "nan"
+                        continue
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue
+                    if not math.isfinite(value):
+                        return False
+    return all(_all_finite(json.loads(text)) for text in texts)
+
+
+@settings(
+    max_examples=50, deadline=None, database=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_one_mutated_cell_fails_typed_and_names_its_file_or_stays_finite(pipeline, tmp_path_factory, data):
+    """One cell of the message log, ``lifecycles.csv``, ``matrix.csv``, the snapshot or a model file set to
+    nan, an infinity, -1, 0, 1e308 or an empty string: every command that reads the artifact either exits 0
+    with finite outputs, or exits 1 with an error of a lobkit type whose message starts with the file's path."""
+    d = pipeline
+    name = data.draw(st.sampled_from(sorted(_CONSUMERS)), label="artifact")
+    placeholder, commands = _CONSUMERS[name]
+    mutant = data.draw(st.sampled_from(sorted(_MUTANTS)), label="value")
+    work = tmp_path_factory.mktemp("mutant")
+    bad = work / name
+    if name.endswith(".csv"):
+        with open(d / name, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        row = data.draw(st.integers(0, len(rows) - 1), label="row")
+        column = data.draw(st.sampled_from(header), label="column")
+        _edit_csv(d / name, bad, column, row, mutant)
+    else:
+        blob = json.loads((d / name).read_text())
+        *parents, last = data.draw(st.sampled_from(_json_leaves(blob)), label="field")
+        node = blob
+        for key in parents:
+            node = node[key]
+        node[last] = _MUTANTS[mutant]
+        bad.write_text(json.dumps(blob))
+    inputs = {"messages": d / "messages2.csv", "lifecycles": d / "lifecycles2.csv", "matrix": d / "matrix.csv",
+              "snapshot": d / "snap.json", "fill": d / "fill.json", placeholder: bad}
+    for command in commands:
+        out_dir = work / f"out{commands.index(command)}"
+        out_dir.mkdir()
+        args = [arg.format(d=d, tmp=out_dir, **inputs) for arg in command.split()]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main(BASE + args)
+        if rc == 0:
+            assert _outputs_finite(out_dir, stdout.getvalue()), args
+        else:
+            err = json.loads(stderr.getvalue().strip().splitlines()[-1])
+            assert err["error"] not in vars(builtins), (args, err["error"], err["message"])
+            assert err["message"].startswith(f"{bad}"), (args, err["error"], err["message"])

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lobkit.features import FeatureVector
+from lobkit.features import FEATURE_COLUMNS, FeatureVector
 from lobkit.fill_model import (
     OMEGA_EDGES,
     CensoringModel,
@@ -105,6 +105,18 @@ def test_stratified_matches_unstratified_on_identical_populations():
     for t in (0.5, 1.0, 2.0, 3.0):
         assert model.survival_at(1.0, None, t) == pytest.approx(pooled.at(t))
         assert model.survival_at(0.0, None, t) == pytest.approx(pooled.at(t))
+
+
+def test_thin_stratum_is_named_in_pooled_strata():
+    """Three at-best records fall under ``min_count``: that stratum alone reads the pooled curve and is named."""
+    times = [0.4, 0.9, 1.5, 2.5, 0.7, 1.1]
+    records = [_record(t, Outcome((i % 3)), delta=1.0, oid=f"p{i}") for i, t in enumerate(times)]
+    records += [_record(t, Outcome(2), delta=0.0, oid=f"b{i}") for i, t in enumerate(times[:3])]
+    model = stratified_censoring_survival(records, min_count=4)
+    assert model.pooled_strata == ["at_best"]
+    assert model.curves["at_best"] is model.curves["pooled"]
+    assert model.curves["passive_0"] is not model.curves["pooled"]
+    assert stratified_censoring_survival(records, min_count=3).pooled_strata == []
 
 
 def test_stratum_of_matches_sorted_search_reference():
@@ -292,23 +304,21 @@ def test_zero_weight_rows_do_not_count_for_classes():
 
 def test_fill_model_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(2)
-    X = rng.normal(size=(300, 4))
+    X = rng.normal(size=(300, len(FEATURE_COLUMNS)))
     y = (X[:, 0] > 0).astype(float)
     w = np.ones(300)
-    model = train_fill_model(
-        X, y, w, TrainConfig(lr=0.05, batch=64, epochs=40, seed=3), columns=("a", "b", "c", "d")
-    )
+    model = train_fill_model(X, y, w, TrainConfig(lr=0.05, batch=64, epochs=40, seed=3))
     path = tmp_path / "fill.json"
     model.save(path)
     clone = FillModel.load(path)
     assert isinstance(clone, FillModel)
     np.testing.assert_array_equal(model.mlp.predict(X), clone.mlp.predict(X))
-    assert clone.columns == ("a", "b", "c", "d")
+    assert json.loads(path.read_text())["columns"] == list(FEATURE_COLUMNS)
 
 
 def _fill_file(tmp_path, **fields):
-    """A fill model file over four columns, with ``fields`` written over the model's own."""
-    model = FillModel(MLP([4, 3, 1], seed=1), columns=("a", "b", "c", "d"), trained_span=(1, 2))
+    """A fill model file, with ``fields`` written over the model's own."""
+    model = FillModel(MLP([len(FEATURE_COLUMNS), 3, 1], seed=1), trained_span=(1, 2))
     blob = {**model.envelope(), **fields}
     path = tmp_path / "fill.json"
     path.write_text(json.dumps(blob))
@@ -325,6 +335,8 @@ def _fill_file(tmp_path, **fields):
         ({"trained_span": [1, 2, 3]}, "'trained_span'"),
         ({"trained_span": [1.5, 2]}, "'trained_span'"),
         ({"kind": "cleanup"}, "'kind'"),
+        ({"columns": list(reversed(FEATURE_COLUMNS))}, "'columns'"),  # one name per input, in another order
+        ({"columns": None}, "'columns'"),
     ],
 )
 def test_fill_model_load_rejects_a_field_the_model_rejects(tmp_path, fields, named):
@@ -334,15 +346,22 @@ def test_fill_model_load_rejects_a_field_the_model_rejects(tmp_path, fields, nam
     assert str(err.value).startswith(f"{path}: ") and named in str(err.value)
 
 
+def test_net_model_needs_one_input_per_feature_column():
+    with pytest.raises(ValueError, match=f"field 'mlp' has 4 inputs, not one per feature column \\({len(FEATURE_COLUMNS)}\\)"):
+        FillModel(MLP([4, 3, 1], seed=1))
+    with pytest.raises(ValueError, match="field 'mlp' has 4 inputs"):
+        train_fill_model(np.eye(4), np.array([0.0, 1.0, 0.0, 1.0]), np.ones(4), TrainConfig(epochs=1, val_fraction=0.0))
+
+
 def test_fill_model_file_is_its_fields(tmp_path):
     path = _fill_file(tmp_path)
     blob = json.loads(path.read_text())
     assert sorted(blob) == ["columns", "horizon", "kind", "mlp", "trained_span"]
     assert FillModel.load(path).trained_span == (1, 2)
-    del blob["trained_span"]
-    path.write_text(json.dumps(blob))
-    with pytest.raises(ArtifactInvalid, match="required field 'trained_span' is missing"):
-        FillModel.load(path)
+    for name in ("trained_span", "columns"):
+        path.write_text(json.dumps({key: value for key, value in blob.items() if key != name}))
+        with pytest.raises(ArtifactInvalid, match=f"required field '{name}' is missing"):
+            FillModel.load(path)
 
 
 def test_build_training_matrix_drops_partial_windows():

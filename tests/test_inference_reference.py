@@ -37,6 +37,7 @@ from lobkit.placement import (
     FEE_TABLE,
     ZERO_FEES,
     InadmissibleDistance,
+    InvalidSpread,
     MarketSnapshot,
     NonpositiveDenominator,
     ToyModel,
@@ -77,6 +78,8 @@ def _nets():
 
 class _Flat:
     """A model with one output for every row."""
+
+    trained_span = None
 
     def __init__(self, value):
         self.value = value
@@ -309,7 +312,7 @@ def test_backtest_rejects_fill_outside_unit_interval(fill):
 @pytest.mark.parametrize("side", list(Side))
 @pytest.mark.parametrize(
     ("spread", "delta", "error"),
-    [(3, -3, InadmissibleDistance), (3, -7, InadmissibleDistance), (1, -1, InadmissibleDistance), (0, 1, ValueError)],
+    [(3, -3, InadmissibleDistance), (3, -7, InadmissibleDistance), (1, -1, InadmissibleDistance), (0, 1, InvalidSpread)],
 )
 def test_backtest_rejects_what_the_scalar_path_rejects(side, spread, delta, error):
     """The array checks raise what ``MarketSnapshot`` and ``saved_cost`` raise, naming the first bad record."""

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lobkit.fill_model import HIDDEN_LAYERS
 from lobkit.mlp import (
     MLP,
+    INPUT_LIMIT,
     DimensionMismatch,
     NonFiniteLoss,
     TrainConfig,
@@ -146,6 +147,36 @@ def test_save_load_round_trip():
     np.testing.assert_array_equal(model.predict(X), clone.predict(X))
 
 
+def test_finite_inputs_past_the_input_limit_give_finite_outputs():
+    """Standardized inputs beyond ``INPUT_LIMIT`` standard deviations read as the limit."""
+    X, y, w = _toy_data(seed=21, n=100)
+    for output in ("sigmoid", "identity"):
+        model = MLP([6, 16, 1], output=output, seed=22)
+        model.fit_standardization(X)
+        extreme = np.array([[1e308, -1e308, 1e308, 0.0, 5e307, -3.0]])
+        at_limit = model.mean + model.std * np.array([[INPUT_LIMIT, -INPUT_LIMIT, INPUT_LIMIT, 0.0, INPUT_LIMIT, 0.0]])
+        at_limit[0, 3], at_limit[0, 5] = 0.0, -3.0
+        assert np.isfinite(model.predict(extreme)).all()
+        assert model.predict(extreme)[0] == model.predict(at_limit)[0]
+
+
+def test_standardization_past_the_float_range_is_refused():
+    X, _, _ = _toy_data(seed=21, n=100)
+    X[7, 4] = 1e308  # squares past the float range: the standard deviation overflows
+    with pytest.raises(NonFiniteLoss, match="the standard deviation of input 4 is not finite"), np.errstate(over="ignore"):
+        MLP([6, 16, 1]).fit_standardization(X)
+
+
+@pytest.mark.parametrize("weight", [1e308, -1e300])
+def test_load_refuses_weights_that_overflow_within_the_input_limit(weight):
+    blob = MLP([6, 16, 1], seed=22).to_dict()
+    blob["weights"][0][2][5] = weight
+    with pytest.raises(ValueError, match="weights and biases overflow on inputs within 1e\\+06 standard deviations"):
+        MLP.from_dict(blob)
+    blob["weights"][0][2][5] = 1e3  # a large weight whose activations stay finite
+    MLP.from_dict(blob)
+
+
 # ---------------------------------------------------------------------------
 # Predict's bits: the in-place forward against the allocating one
 # ---------------------------------------------------------------------------
@@ -163,7 +194,7 @@ def _reference_sigmoid(z):
 
 def _reference_predict(model, X):
     """``standardize`` -> ``_forward`` -> ``np.clip`` as predict ran them with a temporary per op."""
-    Xs = (np.atleast_2d(np.asarray(X, dtype=float)) - model.mean) / model.std
+    Xs = np.clip((np.atleast_2d(np.asarray(X, dtype=float)) - model.mean) / model.std, -INPUT_LIMIT, INPUT_LIMIT)
     h = Xs
     for W, b in zip(model.weights[:-1], model.biases[:-1]):
         h = np.maximum(h @ W + b, 0.0)
@@ -224,12 +255,16 @@ def test_predict_equals_allocating_reference_bit_for_bit(seed, rows, scale):
 # ---------------------------------------------------------------------------
 
 
+def _names(X):
+    return [f"f{i}" for i in range(X.shape[1])]
+
+
 def test_ignored_feature_scores_zero():
     X, y, w = _toy_data(seed=24, n=300)
     model = MLP([6, 16, 16, 16, 1], seed=25)
     model.fit_standardization(X)
     model.weights[0][3, :] = 0.0  # model ignores feature 3
-    scores = dict(permutation_importance(model, X, y, w, seed=26))
+    scores = dict(permutation_importance(model, X, y, w, _names(X), seed=26))
     assert scores["f3"] == 0.0
 
 
@@ -243,7 +278,7 @@ def test_duplicate_features_score_similarly():
     model.fit_standardization(X)
     # symmetric first layer in the duplicated pair
     model.weights[0][1, :] = model.weights[0][0, :]
-    scores = dict(permutation_importance(model, X, y, w, seed=29))
+    scores = dict(permutation_importance(model, X, y, w, _names(X), seed=29))
     assert scores["f0"] == pytest.approx(scores["f1"], rel=0.5, abs=0.02)
 
 
@@ -255,5 +290,5 @@ def test_planted_relevant_feature_ranks_first():
     w = np.ones(1500)
     model = MLP([5, 32, 32, 32, 1], seed=31)
     train_mlp(model, X, y, w, TrainConfig(lr=0.05, batch=128, epochs=120, seed=32, patience=20))
-    ranked = permutation_importance(model, X, y, w, seed=33)
+    ranked = permutation_importance(model, X, y, w, _names(X), seed=33)
     assert ranked[0][0] == "f2"

@@ -102,7 +102,7 @@ def _scalar_rejection(best_bid, best_ask, tick_size, delta):
     return None
 
 
-SPREAD_OFFSETS = [0.0, 5e-7, -5e-7, 1e-6, 2e-6, -2e-6, 0.5, 1.5, 2.5, math.nan]  # the scalar raises OverflowError on inf
+SPREAD_OFFSETS = [0.0, 5e-7, -5e-7, 1e-6, 2e-6, -2e-6, 0.5, 1.5, 2.5, math.nan, math.inf]
 
 
 @pytest.mark.parametrize("tick_size", [0.01, 0.5, 1.0])

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from lobkit.book import BookState, CrossedBook, UnknownOrderId
 from lobkit.messages import InstrumentConfig, Level3Message, MessageKind, Side
-from lobkit.replay import EmptyStream, Outcome, fill_ratio_icdf, track_lifecycles
+from lobkit.replay import EmptyStream, FeatureOverflow, Outcome, fill_ratio_icdf, track_lifecycles
 
 A, C, E = MessageKind.ADD, MessageKind.CANCEL, MessageKind.EXECUTE
 B, S = Side.BID, Side.ASK
@@ -221,6 +221,18 @@ def test_every_accepted_add_is_a_record_or_a_counted_exclusion(ops, depth, walls
         accepted += m.kind is A
     assert d.accepted_adds == accepted
     assert d.accepted_adds == len(result.records) + d.marketable_excluded + d.depth_excluded + d.no_reference_skipped
+
+
+def test_best_queue_summing_past_the_float_range_names_the_add():
+    """Two bids of 1e308 at one price: their queue sums to inf, though each add's own
+    event window (the first bid pushed out of it by 60 asks) sums finitely."""
+    msgs = [_msg(1, A, "a0", S, 10010, size=1.0), _msg(2, A, "b0", B, 10000, size=1e308)]
+    msgs += [_msg(3 + i, A, f"a{i + 1}", S, 10011 + i, size=1.0, ts=0.001 * (i + 1)) for i in range(60)]
+    msgs.append(_msg(63, A, "b1", B, 10000, size=1e308, ts=0.1))
+    inst = _inst(depth_mode="levels", depth_value=1000, trade_window=1)
+    with pytest.raises(FeatureOverflow, match=r"message seq 63 \(add 'b1'\): a feature sum overflows"):
+        track_lifecycles(msgs, inst)
+    assert len(track_lifecycles(msgs[:-1], inst).records) == 60  # without it, every ask after the first bid is tracked
 
 
 def test_empty_stream_raises():
