@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import traceback
 from contextlib import contextmanager
@@ -42,15 +43,16 @@ from .placement import (
     FEE_TABLE,
     ZERO_FEES,
     FeePolicy,
+    InsufficientBuckets,
     decision_map,
     default_delta_range,
     distance_spread_surface,
     optimal_distance,
 )
 from .replay import fill_ratio_icdf, track_lifecycles
-from .report import write_report
 from .survival import (
     CAUSE_EXECUTION,
+    EmptyInput,
     aalen_johansen,
     conditional_curves,
     fill_probability_at,
@@ -270,6 +272,8 @@ def _load_records(args, cfg: PipelineConfig):
     if getattr(args, "truth", None):
         truth_ids = {t.order_id for t in lsynth.read_truth(_require(args.truth, "truth sidecar"))}
         records = [r for r in records if r.order_id in truth_ids]
+    if not records:
+        raise EmptyInput(f"{args.lifecycles}: no observations")
     return records
 
 
@@ -344,7 +348,7 @@ def cmd_train_cleanup(args, cfg: PipelineConfig) -> int:
     _, outcome_times, _, ask_moves, insert_ts = matrix_columns(X, meta)
     rows, collection = cleanup_rows(outcome_times, ask_moves, cfg.horizon)
     if not rows:
-        raise ConfigInvalid("no qualifying clean-up rows in the matrix")
+        raise ConfigInvalid(f"{args.matrix}: no qualifying clean-up rows in the matrix")
     Xc = X[rows]
     targets = np.array([ask_moves[i] for i in rows])
     span = (min(insert_ts[i] for i in rows), max(insert_ts[i] for i in rows))
@@ -425,13 +429,15 @@ def cmd_route(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_backtest(args, cfg: PipelineConfig) -> int:
+    # eligibility caps an order's size at a multiple of the stream's average trade size
+    ats = args.average_trade_size
+    if not 0.0 < ats < math.inf:
+        raise ConfigInvalid(f"--average-trade-size must be a positive finite number, got {ats}")
     records = _load_records(args, cfg)
     X, _, _, meta = lio.read_matrix(_require(args.train_matrix, "training matrix"))
     fill, cleanup = _load_models(args, cfg)
-    models, fit = fit_router_models(*matrix_columns(X, meta), fill, cleanup, cfg.horizon)
-
-    # eligibility needs the stream's average trade size
-    ats = args.average_trade_size
+    with _naming(args.train_matrix, InsufficientBuckets):
+        models, fit = fit_router_models(*matrix_columns(X, meta), fill, cleanup, cfg.horizon)
     eligible = select_eligible(
         records,
         cfg.horizon,
@@ -442,6 +448,8 @@ def cmd_backtest(args, cfg: PipelineConfig) -> int:
     with _naming(args.lifecycles, ValueError):
         report = run_backtest(eligible, [MODEL_I, MODEL_II, MODEL_III], models, _fees(cfg), cfg.horizon, cfg.tick_size)
     payload = {
+        "records": len(records),
+        "eligible": len(eligible),
         "evaluated": report.evaluated,
         "excluded_ties": report.excluded_ties,
         "toy_flat_fit": fit.flat,
@@ -460,11 +468,6 @@ def cmd_backtest(args, cfg: PipelineConfig) -> int:
             ("label", "decision_I", "decision_II", "decision_III"),
             zip(report.labels, report.decisions["I"], report.decisions["II"], report.decisions["III"]),
         )
-    return 0
-
-
-def cmd_report(args, cfg: PipelineConfig) -> int:
-    write_report(Path(args.dir), Path(args.out))
     return 0
 
 
@@ -552,11 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--decisions-out")
     p.set_defaults(func=cmd_backtest)
-
-    p = sub.add_parser("report", help="bundle artifacts into a single HTML page")
-    p.add_argument("--dir", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_report)
     return parser
 
 

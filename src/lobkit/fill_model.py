@@ -87,9 +87,6 @@ class CensoringModel:
             raise KeyError(f"no censoring curve for stratum {key!r} and no pooled fallback")
         return curve
 
-    def survival_at(self, delta: float, omega: float | None, t: float) -> float:
-        return float(self.curve_of(self.stratum_of(delta, omega)).at(t))
-
 
 #: Aggressiveness-index bucket edges of the aggressive strata.
 OMEGA_EDGES = (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0 + 1e-9)

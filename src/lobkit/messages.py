@@ -8,13 +8,13 @@ price-level arithmetic stays exact.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import starmap
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .table import INTEGER, NON_NEGATIVE, TEXT, ArtifactInvalid, choice, optional_number, parse_row, read_table, write_table
+from .table import INTEGER, NON_NEGATIVE, TEXT, choice, optional_number, read_table, write_table
 
 
 class Side(Enum):
@@ -96,7 +96,7 @@ class InstrumentConfig:
 
 
 SIDE = choice({s.value: s for s in Side})
-#: The message log's columns; NDJSON records hold the same fields, read by the same parsers.
+#: The message log's columns.
 MESSAGE_FIELDS = {
     "seq": INTEGER,
     "ts_ns": INTEGER,
@@ -116,36 +116,10 @@ def _message_row(m: Level3Message) -> tuple:
 
 
 def write_messages(path: str | Path, messages: Iterable[Level3Message]) -> None:
-    """Write a stream to CSV or newline-delimited JSON (by extension)."""
-    path = Path(path)
-    if path.suffix != ".ndjson":
-        write_table(path, MESSAGE_FIELDS, map(_message_row, messages))
-        return
-    with path.open("w") as fh:
-        for m in messages:
-            cells = (kind.format(x) for kind, x in zip(MESSAGE_FIELDS.values(), _message_row(m)))
-            # a float stays a JSON string, its CSV cell's text
-            record = {name: repr(c) if isinstance(c, float) else c for name, c in zip(MESSAGE_FIELDS, cells)}
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    """Write a stream as a CSV table."""
+    write_table(path, MESSAGE_FIELDS, map(_message_row, messages))
 
 
 def read_messages(path: str | Path) -> Iterator[Level3Message]:
-    """Read a stream from CSV or newline-delimited JSON (by extension)."""
-    path = Path(path)
-    if path.suffix != ".ndjson":
-        for row in read_table(path, MESSAGE_FIELDS):
-            yield Level3Message(*row)
-        return
-    with path.open() as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            where = f"{path}:{line_no}"
-            try:
-                record = json.loads(line)
-                cells = [str(record[name]) for name in MESSAGE_FIELDS]
-            except KeyError as exc:
-                raise ArtifactInvalid(f"{where}: column {exc.args[0]!r} is missing") from None
-            except (TypeError, json.JSONDecodeError) as exc:
-                raise ArtifactInvalid(f"{where}: not a JSON object ({exc})") from None
-            yield Level3Message(*parse_row(MESSAGE_FIELDS, cells, where))
+    """Read a stream from a CSV table."""
+    return starmap(Level3Message, read_table(path, MESSAGE_FIELDS))

@@ -96,9 +96,6 @@ class CIFCurve:
     def incidence_at(self, cause: int, t: float | np.ndarray) -> float | np.ndarray:
         return _step_at(self.times, 0.0, self.cif[cause], t)
 
-    def survival_at(self, t: float | np.ndarray) -> float | np.ndarray:
-        return _step_at(self.times, 1.0, self.survival, t)
-
     def variance_at(self, cause: int, t: float | np.ndarray) -> float | np.ndarray:
         return _step_at(self.times, 0.0, gray_variance(self, cause), t)
 

@@ -209,7 +209,8 @@ def uniform_draw(rng: np.random.Generator, low: float, high: float) -> Callable[
 
 class FlowGenerator:
     """One seeded stream: ``run()`` returns its messages and truth rows, and the
-    ``skipped_*`` counters then hold the subject arrivals, trades and wall moves it skipped."""
+    ``skipped_*`` counters then hold the subject arrivals, trades and wall moves it skipped.
+    ``planted_deaths`` holds each subject's planted death, which may fall after the stream's end."""
 
     def __init__(self, config: GroundTruthConfig, duration: float):
         _check_draws(config)
@@ -234,6 +235,7 @@ class FlowGenerator:
         self.skipped_moves = 0
         self.skipped_trades = 0
         self.skipped_subjects = 0
+        self.planted_deaths: dict[str, tuple[float, bool]] = {}  # subject id -> (seconds from the start, executed)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -358,6 +360,7 @@ class FlowGenerator:
             cause_exec = bool(self.rng.random() < (lam1 / total if total > 0 else 0.0))
             if math.isfinite(lifetime):
                 self._push(t + lifetime, _DEATH, (oid, cause_exec))
+                self.planted_deaths[oid] = (t + lifetime, cause_exec)
             self.truth.append(
                 TruthRow(
                     order_id=oid,

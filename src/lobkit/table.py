@@ -121,7 +121,7 @@ def choice(members: Mapping[str, Hashable]) -> Kind:
     return Kind(dict(members).__getitem__, spell, "one of " + ", ".join(members))
 
 
-def parse_row(schema: Mapping[str, Kind], cells: Sequence[str], where: str) -> list:
+def _parse_row(schema: Mapping[str, Kind], cells: Sequence[str], where: str) -> list:
     """The values of one row, a cell per column; ``where`` is the row's ``path:line``."""
     values = []
     for (name, kind), cell in zip(schema.items(), cells):
@@ -157,7 +157,7 @@ def read_table(path: str | Path, schema: Mapping[str, Kind]) -> Iterator[list]:
                 try:
                     values = [parse(cell) for parse, cell in zip(parsers, cells)]
                 except (KeyError, ValueError):
-                    values = parse_row(schema, cells, f"{path}:{reader.line_num}")
+                    values = _parse_row(schema, cells, f"{path}:{reader.line_num}")
                 yield values
         except (csv.Error, UnicodeDecodeError) as exc:
             raise ArtifactInvalid(f"{path}:{reader.line_num}: not a CSV table ({exc})") from None

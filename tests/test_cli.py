@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import contextlib
 import csv
@@ -5,13 +6,15 @@ import dataclasses
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lobkit import io as lio
-from lobkit.cli import load_config, main, ConfigInvalid
+from lobkit.cli import build_parser, load_config, main, ConfigInvalid
 from lobkit.features import FEATURE_COLUMNS, FeatureVector
 from lobkit.fill_model import stratified_censoring_survival
 from lobkit.messages import Side, read_messages, write_messages
@@ -62,11 +65,9 @@ def test_missing_input_reports_error(tmp_path, capsys):
 
 def test_message_round_trip_csv_and_ndjson(tmp_path):
     msgs, _ = generate_flow(GroundTruthConfig(seed=3), 5.0)
-    for name in ("stream.csv", "stream.ndjson"):
-        path = tmp_path / name
-        write_messages(path, msgs)
-        back = list(read_messages(path))
-        assert back == msgs
+    path = tmp_path / "stream.csv"
+    write_messages(path, msgs)
+    assert list(read_messages(path)) == msgs
 
 
 def _run(args):
@@ -161,7 +162,6 @@ def pipeline(tmp_path_factory):
         "--cleanup-model", str(d / "cleanup.json"), "--average-trade-size", "1.0",
         "--out", str(d / "metrics.json"), "--decisions-out", str(d / "decisions.csv"),
     ])
-    _run(base + ["report", "--dir", str(d), "--out", str(d / "report.html")])
     return d
 
 
@@ -190,9 +190,6 @@ def test_full_pipeline_through_cli(pipeline):
                 expected_f = 2 * m["precision"] * m["recall"] / (m["precision"] + m["recall"])
                 assert m["f_score"] == pytest.approx(expected_f)
 
-    html = (d / "report.html").read_text()
-    assert "metrics.json" in html and "<svg" in html
-
 
 def test_cleanup_and_backtest_reports_count_what_the_fits_dropped(pipeline):
     d = pipeline
@@ -205,6 +202,10 @@ def test_cleanup_and_backtest_reports_count_what_the_fits_dropped(pipeline):
     assert len(metrics["toy_distances"]) >= 3 and metrics["toy_distances"] == sorted(metrics["toy_distances"])
     assert metrics["toy_thin_buckets"] >= 0
     assert metrics["constant_cleanup_ticks"] == cleanup["constant_baseline"]
+    scored = lio.read_lifecycles(d / "lifecycles2.csv")
+    subjects = {row.order_id for row in read_truth(d / "truth2.csv")}
+    assert metrics["records"] == sum(r.order_id in subjects for r in scored) > metrics["eligible"]
+    assert metrics["eligible"] == metrics["evaluated"] + metrics["excluded_ties"] > 0
 
 
 def test_features_reports_the_strata_on_the_pooled_censoring_curve(pipeline, tmp_path, capsys):
@@ -644,6 +645,61 @@ def test_malformed_table_fails_with_artifact_invalid(pipeline, tmp_path, capsys,
     assert err["message"].startswith(f"{bad}:{line}: ") and repr(column) in err["message"]
     if value is not None:
         assert repr(value) in err["message"]
+
+
+@pytest.mark.parametrize(
+    "artifact,error,command",
+    [
+        ("lifecycles", "EmptyInput", "features --lifecycles {bad} --out {tmp}/o.csv"),
+        ("lifecycles", "EmptyInput", "survival --lifecycles {bad} --out {tmp}/o.csv"),
+        ("lifecycles", "EmptyInput", "survival --lifecycles {bad} --mode post-and-wait --out {tmp}/o.csv"),
+        ("lifecycles", "EmptyInput", "survival --lifecycles {bad} --by delta --out {tmp}/o.csv"),
+        ("lifecycles", "EmptyInput", (
+            "backtest --lifecycles {bad} --train-matrix {pipeline}/matrix.csv --fill-model {pipeline}/fill.json"
+            " --cleanup-model {pipeline}/cleanup.json --average-trade-size 1.0 --out {tmp}/o.json"
+        )),
+        ("matrix", "SingleClass", "train-fill --matrix {bad} --seed 7 --out {tmp}/o.json"),
+        ("matrix", "ConfigInvalid", "train-cleanup --matrix {bad} --seed 7 --out {tmp}/o.json"),
+        ("matrix", "InsufficientBuckets", (
+            "backtest --lifecycles {pipeline}/lifecycles2.csv --train-matrix {bad} --fill-model {pipeline}/fill.json"
+            " --cleanup-model {pipeline}/cleanup.json --average-trade-size 1.0 --out {tmp}/o.json"
+        )),
+    ],
+)
+def test_header_only_input_fails_naming_its_file(pipeline, tmp_path, capsys, artifact, error, command):
+    """A table with its header and no rows parses, so the stage that needs rows fails, with the file's path first."""
+    bad = tmp_path / f"{artifact}.csv"
+    bad.write_text((pipeline / f"{artifact}.csv").read_text().splitlines(keepends=True)[0])
+    err = _fails(BASE + [arg.format(bad=bad, tmp=tmp_path, pipeline=pipeline) for arg in command.split()], capsys)
+    assert err["error"] == error and err["message"].startswith(f"{bad}: ")
+    assert not list(tmp_path.glob("o.*"))
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_average_trade_size_must_be_positive_and_finite(pipeline, tmp_path, capsys, value):
+    """Eligibility caps sizes at a multiple of it, so any other value would drop every order or none."""
+    args = _backtest(pipeline, pipeline / "fill.json", pipeline / "cleanup.json", tmp_path / "m.json")
+    args[args.index("--average-trade-size") + 1] = value
+    err = _fails(args, capsys)
+    assert err["error"] == "ConfigInvalid" and "--average-trade-size" in err["message"]
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_readme_command_line_block_parses_and_names_every_subcommand():
+    """Every ``lobkit`` command of the README's command-line block parses, and the block uses every subcommand."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+    parser = build_parser()
+    for argv in commands:
+        assert argv[0] == "lobkit", argv
+        with contextlib.redirect_stderr(io.StringIO()) as stderr:
+            try:
+                parser.parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"README command {' '.join(argv)!r} does not parse: {stderr.getvalue()}")
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(subcommands) <= {argv[1] for argv in commands}
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ def test_unseen_stratum_falls_back_to_pooled_curve():
     ]
     model = stratified_censoring_survival(records, min_count=1)
     pooled = censoring_survival([Observation(r.outcome_time, int(r.outcome)) for r in records])
-    assert model.survival_at(-1.0, 0.5, 1.2) == pytest.approx(pooled.at(1.2))
+    assert model.curve_of(model.stratum_of(-1.0, 0.5)).at(1.2) == pytest.approx(pooled.at(1.2))
 
 
 def test_stratified_matches_unstratified_on_identical_populations():
@@ -103,8 +103,8 @@ def test_stratified_matches_unstratified_on_identical_populations():
     model = stratified_censoring_survival(records, min_count=1)
     pooled = censoring_survival([Observation(t, c) for t, c in zip(times, causes)])
     for t in (0.5, 1.0, 2.0, 3.0):
-        assert model.survival_at(1.0, None, t) == pytest.approx(pooled.at(t))
-        assert model.survival_at(0.0, None, t) == pytest.approx(pooled.at(t))
+        assert model.curve_of(model.stratum_of(1.0, None)).at(t) == pytest.approx(pooled.at(t))
+        assert model.curve_of(model.stratum_of(0.0, None)).at(t) == pytest.approx(pooled.at(t))
 
 
 def test_thin_stratum_is_named_in_pooled_strata():
@@ -238,7 +238,7 @@ def _ipcw_reference(records, horizon, censoring, floor):
         else:
             weights.append(0.0)
             continue
-        g = censoring.survival_at(rec.features.delta, rec.features.aggressiveness, t_eval)
+        g = censoring.curve_of(censoring.stratum_of(rec.features.delta, rec.features.aggressiveness)).at(t_eval)
         if g < floor:
             g = floor
             floored += 1

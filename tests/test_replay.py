@@ -1,10 +1,15 @@
+import dataclasses
+from bisect import bisect_left
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lobkit.book import BookState, CrossedBook, UnknownOrderId
+from lobkit.cli import PipelineConfig, lsynth_preset
 from lobkit.messages import InstrumentConfig, Level3Message, MessageKind, Side
 from lobkit.replay import EmptyStream, FeatureOverflow, Outcome, fill_ratio_icdf, track_lifecycles
+from lobkit.synth import FlowGenerator
 
 A, C, E = MessageKind.ADD, MessageKind.CANCEL, MessageKind.EXECUTE
 B, S = Side.BID, Side.ASK
@@ -259,6 +264,35 @@ def _ratio_records(ratios):
         t += 0.01
     msgs.append(_msg(seq, C, "wb", B, 1000, ts=t + 5.0))
     return track_lifecycles(msgs, _inst()).records
+
+
+@pytest.mark.parametrize("censor_rate", [0.0, 0.05])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_replay_recovers_each_planted_death(seed, censor_rate):
+    """Every subject order of a 600 s ``monotone-delta`` stream ends as the generator planted it:
+    filled or cancelled at its planted time (within nanosecond rounding), or censored where a
+    sequence gap or the stream's end comes first."""
+    config = dataclasses.replace(lsynth_preset("monotone-delta", seed, PipelineConfig()), censor_rate=censor_rate)
+    generator = FlowGenerator(config, 600.0)
+    msgs, truth = generator.run()
+    assert set(generator.planted_deaths) == {row.order_id for row in truth}
+    records = {r.order_id: r for r in track_lifecycles(msgs, InstrumentConfig()).records}
+    # replay censors the live orders at the message before each gap, and at the stream's end
+    censor_points = [prev.ts for prev, msg in zip(msgs, msgs[1:]) if msg.seq != prev.seq + 1] + [msgs[-1].ts]
+    censored = 0
+    for oid, (death_s, executed) in generator.planted_deaths.items():
+        rec = records[oid]
+        end_ns = rec.insert_ts + round(rec.outcome_time * SEC)
+        if rec.outcome is Outcome.CENSORED:
+            censored += 1
+            first = censor_points[bisect_left(censor_points, rec.insert_ts)]
+            assert abs(end_ns - first) <= 1 and end_ns <= config.start_ts + death_s * SEC, oid
+            continue
+        assert rec.outcome is (Outcome.FILLED if executed else Outcome.CANCELLED), oid
+        end_s = (rec.insert_ts - config.start_ts) / SEC + rec.outcome_time
+        assert end_s == pytest.approx(death_s, abs=1e-9), oid
+    if censor_rate:
+        assert censored > 0  # the gaps censor some subjects
 
 
 def test_fill_ratio_icdf_counting_oracle():

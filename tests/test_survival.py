@@ -71,7 +71,7 @@ def test_every_curve_lookup_equals_the_reference_step(case):
     km = kaplan_meier(observations)
     _same(km.at(t), _reference_step(km.times, 1.0, km.values, t))
     aj = aalen_johansen(observations)
-    _same(aj.survival_at(t), _reference_step(aj.times, 1.0, aj.survival, t))
+    _same(survival._step_at(aj.times, 1.0, aj.survival, t), _reference_step(aj.times, 1.0, aj.survival, t))
     for cause in (CAUSE_EXECUTION, CAUSE_CANCELLATION):
         _same(aj.incidence_at(cause, t), _reference_step(aj.times, 0.0, aj.cif[cause], t))
         _same(aj.variance_at(cause, t), _reference_step(aj.times, 0.0, gray_variance(aj, cause), t))

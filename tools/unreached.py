@@ -146,7 +146,6 @@ def run_cli() -> None:
                 "backtest --lifecycles test_lifecycles.csv --train-matrix matrix.csv --fill-model fill.json"
                 " --cleanup-model cleanup.json --average-trade-size 1.0 --out metrics.json"
             )
-            lobkit(f"report --dir {tmp} --out report.html")
         finally:
             os.chdir(cwd)
 
